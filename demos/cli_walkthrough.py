@@ -2,14 +2,20 @@
 
 Generates a gadget, classifies it, solves it with a plan file, validates
 the plan, runs the Steiner reduction on a hand-written instance, and
-finishes with a benchmark CSV.  Every step shells out to the installed
-`sasbp` script so what you see is what a terminal session would print.
+finishes with a benchmark CSV.  Every step runs the `sasbp` command's entry
+point (`sasbp.cli:entry`) in a fresh interpreter, so what you see is what a
+terminal session would print, and no installed script is needed.
 """
 
+import importlib.util
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# what the installed `sasbp` script runs
+ENTRY = "from sasbp.cli import entry; entry()"
 
 HAND = """\
 SASBP 1
@@ -29,10 +35,17 @@ k 3
 """
 
 
+def child_env():
+    """The environment plus a PYTHONPATH that finds this sasbp package."""
+    package = Path(importlib.util.find_spec("sasbp").origin).parent
+    paths = [str(package.parent), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def run(*argv, expect=0):
     print(f"$ sasbp {' '.join(argv)}")
     proc = subprocess.run(
-        ("sasbp",) + argv, capture_output=True, text=True
+        (sys.executable, "-c", ENTRY) + argv, capture_output=True, text=True, env=child_env()
     )
     for stream in (proc.stdout, proc.stderr):
         for line in stream.splitlines():

@@ -39,7 +39,7 @@ def main():
     # Steiner pipeline can eat its own output
     result = solve_02(two.query)
     print(f"  solve_02 on the composition: decision={result.decision}, "
-          f"plan length {result.plan_length}, chain transform rerun: {result.used_lemma1}")
+          f"plan length {result.plan_length}")
 
     allno = compose_or_02([_02_fixture(1, False), _02_fixture(1, False)])
     print(f"  all-NO variant: {allno.ground_truth}, "

@@ -48,7 +48,7 @@ from .planner02 import (
     reduce_to_steiner,
     solve_02,
 )
-from .preprocess import Lemma1Output, chain_bound, lemma1_transform, lift_plan, project_plan
+from .preprocess import Lemma1Output, chain_bound, lemma1_transform, lift_plan
 from .restrictions import (
     ARBITRARY,
     ClassificationRecord,
@@ -114,7 +114,6 @@ __all__ = [
     "parse_instance",
     "parse_plan",
     "parse_steiner",
-    "project_plan",
     "reduce_to_steiner",
     "solve_02",
     "solve_dst",

@@ -51,7 +51,6 @@ from .gadgets import (
 )
 from .oracle import DEFAULT_MAX_STATES, ResourceLimitError, decide_bfs
 from .planner02 import solve_02
-from .preprocess import lemma1_transform
 from .restrictions import detect_profile, lookup_complexity
 from .steiner import solve_dst
 
@@ -122,7 +121,6 @@ def cmd_solve(args) -> int:
         witness = result.witness
         length = result.plan_length
         detail = {
-            "chain_transform": result.used_lemma1,
             "fallback": result.fallback,
             "explored_states": result.explored_states,
             "dp_table_entries": result.dp_table_entries,
@@ -133,7 +131,6 @@ def cmd_solve(args) -> int:
         witness = oracle.witness
         length = oracle.shortest_length
         detail = {
-            "chain_transform": False,
             "fallback": False,
             "explored_states": oracle.explored_states,
             "dp_table_entries": None,
@@ -171,6 +168,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    from .preprocess import lemma1_transform
+
     if not args.lemma1:
         raise ValueError("nothing to do: pass --lemma1")
     query = _read_query(args)
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("plan", help="plan file, one action name per line")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("preprocess", help="rewrite an instance for the Steiner pipeline")
+    p = sub.add_parser("preprocess", help="rewrite an instance with the paper's chain transform")
     add_instance_arg(p)
     p.add_argument("--lemma1", action="store_true", help="apply the chain transform")
     p.add_argument("--out", required=True)

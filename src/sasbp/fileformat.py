@@ -20,8 +20,8 @@ empty.  Parsing the writer's output reproduces the query exactly, so
 repeated round trips are byte stable.
 
 Names starting with a double underscore are reserved for generated
-machinery (chain variables, the Steiner root) and rejected on parse unless
-allow_reserved is set.
+machinery (chain variables, the Steiner root and pair nodes) and rejected
+on parse unless allow_reserved is set.
 
 Plan files hold one action name per line.  Steiner files hold node, root,
 terminal, bound and arc lines; see parse_steiner.
@@ -29,6 +29,7 @@ terminal, bound and arc lines; see parse_steiner.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 
 from .core import Action, BoundedQuery, PartialState, PlanningInstance, Variable
@@ -36,6 +37,9 @@ from .steiner import SteinerInstance
 
 HEADER = "SASBP 1"
 RESERVED_PREFIX = "__"
+# Integers as str(int) writes them: ASCII digits, no leading zeros, no "-0".
+INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+NATURAL = re.compile(r"0|[1-9][0-9]*")
 
 
 class FormatError(ValueError):
@@ -147,7 +151,7 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
     if line is None or line.split()[0] != "k":
         raise FormatError(f"line {lineno or '?'}: expected bound line 'k INT' last")
     parts = line.split()
-    if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+    if len(parts) != 2 or not INTEGER.fullmatch(parts[1]):
         raise FormatError(f"line {lineno}: expected 'k INT', got {line!r}")
     k = int(parts[1])
     pos += 1
@@ -167,15 +171,15 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
         raise FormatError(str(exc)) from None
 
 
-def _ordered_assignments(state: PartialState, order: Sequence[str]) -> str:
-    keys = [name for name in order if name in state]
+def _ordered_assignments(state: PartialState, order: dict[str, int]) -> str:
+    keys = sorted(state, key=order.__getitem__)
     return " ".join(f"{name}={state[name]}" for name in keys)
 
 
 def write_instance(query: BoundedQuery) -> str:
     """Canonical text form of a bounded query; see the module docstring."""
     inst = query.instance
-    order = [v.name for v in inst.variables]
+    order = inst.variable_index
     out = [HEADER]
     for v in inst.variables:
         out.append("var " + " ".join((v.name,) + v.domain))
@@ -209,7 +213,8 @@ def parse_steiner(text: str) -> SteinerInstance:
 
     Sections in order: 'node NAME' lines (declaration order), one
     'root NAME', 'terminal NAME' lines, one 'bound INT', then
-    'arc TAIL HEAD WEIGHT' lines with positive integer weights.
+    'arc TAIL HEAD WEIGHT' lines with non-negative integer weights.  Numbers
+    are ASCII digits in canonical form, as str(int) writes them.
     """
     nodes: list[str] = []
     root = None
@@ -239,11 +244,11 @@ def parse_steiner(text: str) -> SteinerInstance:
                 raise FormatError(f"line {lineno}: terminal takes exactly one name")
             terminals.append(parts[1])
         elif keyword == "bound":
-            if len(parts) != 2 or bound is not None or not parts[1].lstrip("-").isdigit():
+            if len(parts) != 2 or bound is not None or not INTEGER.fullmatch(parts[1]):
                 raise FormatError(f"line {lineno}: expected a single 'bound INT' line")
             bound = int(parts[1])
         else:
-            if len(parts) != 4 or not parts[3].isdigit():
+            if len(parts) != 4 or not NATURAL.fullmatch(parts[3]):
                 raise FormatError(f"line {lineno}: expected 'arc TAIL HEAD WEIGHT'")
             arc = (parts[1], parts[2])
             if arc in weights:

@@ -1,18 +1,23 @@
 """Fixed-parameter pipeline for precondition-free tasks with two-effect actions.
 
 For instances where actions have no preconditions and at most two effects,
-bounded plan existence reduces to directed Steiner tree: a good action with
+bounded plan existence reduces to directed Steiner tree.  A good action with
 its single effect on v becomes an arc from a virtual root to v, and a mixed
 action that fixes v_good while breaking v_bad becomes an arc from v_bad to
-v_good.  Terminals are the variables whose initial value misses the goal.
-A plan of length at most k exists exactly when a Steiner tree of weight at
-most k does, and a plan can be read off the tree by emitting its arc layers
-deepest first, with the root layer (the good actions) last, so every value
-broken along the way is repaired afterwards.
+v_good.  A good action with effects on a and b becomes a pair node P with an
+arc root -> P of weight 1 and arcs P -> a and P -> b of weight 0, so one step
+can settle both variables.  Terminals are the variables whose initial value
+misses the goal.
 
-Good actions with two effects have no place in this picture; solve_02 first
-rewrites them away with the chain transform from preprocess, at the cost of
-raising the bound to k * (k + 3) + 1.
+The reduction is exact at the same bound.  Following each broken variable's
+last writer in a plan gives a tree: a mixed last writer of x breaks some y
+whose own last writer comes later, these links end at good actions, and a
+two-effect good action can be the last writer of both of its variables,
+which is exactly a pair node's fan-out.  So a plan of length at most k
+exists exactly when a Steiner tree of weight at most k does.  A plan is read
+off the tree by emitting its arc layers deepest first, with the root layer
+(the good actions) last, so every value broken along the way is repaired
+afterwards; weight-0 arcs emit nothing.
 """
 
 from __future__ import annotations
@@ -21,18 +26,11 @@ from dataclasses import dataclass
 
 from .core import BoundedQuery, PlanningInstance, validate_plan
 from .oracle import DEFAULT_MAX_STATES, decide_bfs
-from .preprocess import Lemma1Output, lemma1_transform, project_plan
-from .restrictions import (
-    GOOD,
-    MIXED,
-    broken_variables,
-    classify_effects,
-    detect_profile,
-    strip_bad_actions,
-)
+from .restrictions import GOOD, broken_variables, classify_effects, detect_profile
 from .steiner import SteinerInstance, SteinerSolution, extract_arborescence, solve_dst
 
 ROOT = "__root"
+PAIR = "__pair"
 DEFAULT_DP_CAP = 18
 
 
@@ -43,43 +41,33 @@ class ReductionArtifacts:
     steiner: SteinerInstance
     arc_origin: dict[tuple[str, str], tuple[str, ...]]
     instance: PlanningInstance
-    bound: int
-    used_lemma1: bool
-    lemma1: Lemma1Output | None
 
 
 @dataclass(frozen=True)
 class Planner02Result:
     """Decision plus, on YES, a shortest witness for the queried instance.
 
-    The witness always refers to the original query, even when the chain
-    transform was applied internally; solved_instance/solved_bound expose
-    what the Steiner stage actually worked on and lemma1 carries the
-    provenance.  fallback marks decisions delegated to the search oracle
-    because the terminal set exceeded the table cap.
+    fallback marks decisions delegated to the search oracle because the
+    terminal set exceeded the table cap.
     """
 
     decision: bool
-    witness: tuple[str, ...] | None
-    plan_length: int | None
-    solved_instance: PlanningInstance
-    solved_bound: int
-    used_lemma1: bool
-    lemma1: Lemma1Output | None
-    fallback: bool
-    artifacts: ReductionArtifacts | None
+    witness: tuple[str, ...] | None = None
+    plan_length: int | None = None
+    fallback: bool = False
+    artifacts: ReductionArtifacts | None = None
     explored_states: int | None = None
     dp_table_entries: int | None = None
 
 
-def reduce_to_steiner(
-    query: BoundedQuery, lemma1: Lemma1Output | None = None
-) -> ReductionArtifacts:
-    """Build the Steiner instance for a task without two-effect good actions.
+def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
+    """Build the Steiner instance of a (0, <=2) task at the same bound.
 
     Bad actions contribute no arcs (they never occur in minimal plans) and
-    neither do effect-free actions.  Arc weights are all 1; arc_origin
-    remembers every action behind each arc, first declared first.
+    neither do effect-free actions.  Good actions writing the same pair of
+    variables share one pair node, numbered by first declaration and placed
+    after the variables.  arc_origin remembers every action behind each arc,
+    first declared first.
     """
     inst = query.instance
     profile = detect_profile(inst)
@@ -88,36 +76,36 @@ def reduce_to_steiner(
     if profile.max_effects > 2:
         raise ValueError("reduction requires at most two effects per action")
     for v in inst.variables:
-        if v.name == ROOT:
-            raise ValueError(f"variable name {ROOT!r} is reserved for the root node")
-    classes = classify_effects(inst)
-    for action in inst.actions:
-        if classes.per_action[action.name] == GOOD and len(action.eff) > 1:
+        if v.name == ROOT or v.name.startswith(PAIR):
             raise ValueError(
-                f"good action {action.name!r} has two effects; apply the chain "
-                f"transform (preprocess.lemma1_transform) first"
+                f"variable name {v.name!r} is reserved for the root and pair nodes"
             )
+    classes = classify_effects(inst)
 
     weights: dict[tuple[str, str], int] = {}
     origin: dict[tuple[str, str], list[str]] = {}
-    for action in inst.actions:
-        cls = classes.per_action[action.name]
-        if cls == GOOD and len(action.eff) == 1:
-            (var,) = action.eff.defined()
-            arc = (ROOT, var)
-        elif cls == MIXED:
-            items = list(action.eff.items())
-            if classes.per_effect[(action.name, items[0][0])] == GOOD:
-                good_var, bad_var = items[0][0], items[1][0]
-            else:
-                good_var, bad_var = items[1][0], items[0][0]
-            arc = (bad_var, good_var)
-        else:
-            continue
-        weights.setdefault(arc, 1)
-        origin.setdefault(arc, []).append(action.name)
+    pairs: dict[frozenset[str], str] = {}
 
-    nodes = (ROOT,) + tuple(v.name for v in inst.variables)
+    def add(arc: tuple[str, str], weight: int, action: str) -> None:
+        weights.setdefault(arc, weight)
+        origin.setdefault(arc, []).append(action)
+
+    for action in inst.actions:
+        good, bad = [], []
+        for var in action.eff:
+            (good if classes.per_effect[(action.name, var)] == GOOD else bad).append(var)
+        if good and bad:
+            add((bad[0], good[0]), 1, action.name)
+        elif len(good) == 1:
+            add((ROOT, good[0]), 1, action.name)
+        elif len(good) == 2:
+            key = frozenset(good)
+            pair = pairs.setdefault(key, f"{PAIR}{len(pairs) + 1}")
+            add((ROOT, pair), 1, action.name)
+            for var in good:
+                add((pair, var), 0, action.name)
+
+    nodes = (ROOT,) + tuple(v.name for v in inst.variables) + tuple(pairs.values())
     steiner = SteinerInstance(
         nodes=nodes,
         weights=weights,
@@ -129,9 +117,6 @@ def reduce_to_steiner(
         steiner=steiner,
         arc_origin={arc: tuple(names) for arc, names in origin.items()},
         instance=inst,
-        bound=query.k,
-        used_lemma1=lemma1 is not None,
-        lemma1=lemma1,
     )
 
 
@@ -142,120 +127,66 @@ def extract_plan(
 
     Layers are emitted deepest first so each arc's repair happens after the
     damage below it, and the root layer of good actions closes the plan.
-    Within a layer, arcs keep node declaration order; each arc contributes
-    its first declared origin action.
+    Within a layer, arcs keep node declaration order; each weight-1 arc
+    contributes its first declared origin action and weight-0 arcs (a pair
+    node's fan-out) contribute nothing.
     """
     for arc in solution.arcs:
         if arc not in artifacts.arc_origin:
             raise ValueError(f"arc {arc!r} has no origin action in these artifacts")
+    weights = artifacts.steiner.weights
     layers = extract_arborescence(solution, artifacts.steiner)
-    steps: list[str] = []
-    for layer in reversed(layers):
-        for arc in layer:
-            steps.append(artifacts.arc_origin[arc][0])
-    return tuple(steps)
+    return tuple(
+        artifacts.arc_origin[arc][0]
+        for layer in reversed(layers)
+        for arc in layer
+        if weights[arc]
+    )
 
 
 def solve_02(
     query: BoundedQuery,
-    allow_lemma1: bool = True,
     dp_cap: int = DEFAULT_DP_CAP,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Planner02Result:
     """Decide bounded plan existence for a (0, <=2) task.
 
-    Strips bad actions, applies the chain transform only when a two-effect
-    good action makes it necessary, and solves the resulting Steiner
-    instance exactly.  When the terminal set is larger than the bound the
-    answer is NO outright; when it is larger than dp_cap the subset table
-    would be too big and the decision falls back to the search oracle on the
-    original query.  On YES the witness is a shortest plan for the original
-    instance (chain pieces are projected back to their source actions) and
-    is re-validated before returning.
+    Reduces the task to a Steiner instance at the same bound and solves it
+    exactly.  One step settles at most one terminal, or two through a pair
+    node, so a larger terminal set is an outright NO; when the terminal set
+    is larger than dp_cap the subset table would be too big and the decision
+    falls back to the search oracle.  On YES the witness is a shortest plan,
+    re-validated against the query before returning.
     """
-    profile = detect_profile(query.instance)
-    if profile.max_preconditions > 0:
-        raise ValueError("solve_02 requires actions without preconditions")
-    if profile.max_effects > 2:
-        raise ValueError("solve_02 requires at most two effects per action")
-
-    stripped = strip_bad_actions(query.instance)
-    working = BoundedQuery(stripped, query.k)
-    lemma1 = None
-    classes = classify_effects(stripped)
-    needs_chains = any(
-        classes.per_action[a.name] == GOOD and len(a.eff) == 2 for a in stripped.actions
-    )
-    if needs_chains:
-        if not allow_lemma1:
-            raise ValueError(
-                "instance has a two-effect good action; rerun with allow_lemma1=True "
-                "or preprocess it with the chain transform"
-            )
-        lemma1 = lemma1_transform(working)
-        working = BoundedQuery(lemma1.instance, lemma1.k_prime)
-
-    artifacts = reduce_to_steiner(working, lemma1=lemma1)
-    terminals = artifacts.steiner.terminals
-    if len(terminals) > working.k:
-        return Planner02Result(
-            decision=False,
-            witness=None,
-            plan_length=None,
-            solved_instance=working.instance,
-            solved_bound=working.k,
-            used_lemma1=lemma1 is not None,
-            lemma1=lemma1,
-            fallback=False,
-            artifacts=artifacts,
-        )
-    if len(terminals) > dp_cap:
+    artifacts = reduce_to_steiner(query)
+    steiner = artifacts.steiner
+    per_step = 2 if 0 in steiner.weights.values() else 1
+    if len(steiner.terminals) > per_step * query.k:
+        return Planner02Result(False, artifacts=artifacts)
+    if len(steiner.terminals) > dp_cap:
         oracle = decide_bfs(query, max_states=max_states)
         return Planner02Result(
-            decision=oracle.decision,
-            witness=oracle.witness,
-            plan_length=oracle.shortest_length,
-            solved_instance=query.instance,
-            solved_bound=query.k,
-            used_lemma1=False,
-            lemma1=None,
+            oracle.decision,
+            oracle.witness,
+            oracle.shortest_length,
             fallback=True,
             artifacts=artifacts,
             explored_states=oracle.explored_states,
         )
 
     stats: dict = {}
-    solution = solve_dst(artifacts.steiner, stats_out=stats)
+    solution = solve_dst(steiner, stats_out=stats)
+    entries = stats.get("table_entries")
     if solution is None:
-        return Planner02Result(
-            decision=False,
-            witness=None,
-            plan_length=None,
-            solved_instance=working.instance,
-            solved_bound=working.k,
-            used_lemma1=lemma1 is not None,
-            lemma1=lemma1,
-            fallback=False,
-            artifacts=artifacts,
-            dp_table_entries=stats.get("table_entries"),
-        )
+        return Planner02Result(False, artifacts=artifacts, dp_table_entries=entries)
     witness = extract_plan(artifacts, solution)
-    report = validate_plan(working.instance, witness)
-    assert report.valid, f"extracted plan failed validation: {report.reason}"
-    if lemma1 is not None:
-        witness = project_plan(lemma1, witness)
-        report = validate_plan(query.instance, witness)
-        assert report.valid, f"projected plan failed validation: {report.reason}"
-        assert len(witness) <= query.k
+    report = validate_plan(query.instance, witness)
+    if not report.valid:
+        raise RuntimeError(f"extracted plan failed validation: {report.reason}")
+    if len(witness) > query.k:
+        raise RuntimeError(
+            f"extracted plan has {len(witness)} steps, over the bound {query.k}"
+        )
     return Planner02Result(
-        decision=True,
-        witness=witness,
-        plan_length=len(witness),
-        solved_instance=working.instance,
-        solved_bound=working.k,
-        used_lemma1=lemma1 is not None,
-        lemma1=lemma1,
-        fallback=False,
-        artifacts=artifacts,
-        dp_table_entries=stats.get("table_entries"),
+        True, witness, len(witness), artifacts=artifacts, dp_table_entries=entries
     )

@@ -1,9 +1,10 @@
 """Chain transform that removes two-effect good actions from (0, 2) tasks.
 
-The Steiner-tree pipeline in planner02 needs every good action to have a
-single effect.  This module rewrites an instance so that each surviving
-source action becomes a chain of k + 3 two-effect actions threaded through
-fresh binary counter variables, plus one global reset action.  A plan of
+This is the paper's Lemma 1 construction.  The solver in planner02 does not
+need it (it gives each two-effect good action a pair node instead); the OR
+composition in gadgets builds on it.  It rewrites an instance so that each
+surviving source action becomes a chain of k + 3 two-effect actions threaded
+through fresh binary counter variables, plus one global reset action.  A plan of
 length l at bound k corresponds to a transformed plan of length
 l * (k + 3) + 1 at the new bound k' = k * (k + 3) + 1, and solvability is
 preserved in both directions.
@@ -151,7 +152,8 @@ def _split_mixed(action: Action, per_effect) -> tuple[tuple[str, str], tuple[str
             good = (name, value)
         else:
             bad = (name, value)
-    assert good is not None and bad is not None
+    if good is None or bad is None:
+        raise ValueError(f"action {action.name!r} needs one good and one bad effect")
     return good, bad
 
 
@@ -180,27 +182,4 @@ def lift_plan(
             steps.append(name)
     if include_g_reset:
         steps.append(out.g_reset_action)
-    return tuple(steps)
-
-
-def project_plan(out: Lemma1Output, plan: Sequence[str]) -> tuple[str, ...]:
-    """Map a transformed plan back to source actions, one per touched chain.
-
-    Each source action is emitted at the position of its chain's head piece
-    and every other piece, along with flag resets, is dropped.  This is a
-    faithful inverse for plans in which each variable's goal-valued write
-    comes after all writes that disturb it (the shape the Steiner extraction
-    produces); for arbitrary transformed plans the result should be
-    re-validated by the caller.
-    """
-    steps: list[str] = []
-    for name in plan:
-        if name == out.g_reset_action:
-            continue
-        origin = out.provenance.get(name)
-        if origin is None:
-            raise ValueError(f"action {name!r} does not belong to this transform")
-        source, index = origin
-        if index == 1:
-            steps.append(source)
     return tuple(steps)

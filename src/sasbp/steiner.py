@@ -1,7 +1,7 @@
 """Exact directed Steiner tree solving under a weight bound.
 
-An instance is a digraph with positive integer arc weights (absent arcs are
-infinite), a root, a terminal set and a bound.  A solution is an arc set of
+An instance is a digraph with non-negative integer arc weights (absent arcs
+are infinite), a root, a terminal set and a bound.  A solution is an arc set of
 minimum total weight that reaches every terminal from the root, pruned to an
 out-arborescence; None is returned when the minimum exceeds the bound.
 
@@ -43,8 +43,8 @@ class SteinerInstance:
         for (u, v), w in self.weights.items():
             if u not in index or v not in index:
                 raise ValueError(f"arc ({u!r}, {v!r}) references unknown nodes")
-            if not isinstance(w, int) or w < 1:
-                raise ValueError(f"arc ({u!r}, {v!r}) needs a positive integer weight")
+            if not isinstance(w, int) or w < 0:
+                raise ValueError(f"arc ({u!r}, {v!r}) needs a non-negative integer weight")
         # Canonical terminal order: dedupe, sort by node declaration.
         seen = sorted(set(self.terminals), key=index.__getitem__)
         object.__setattr__(self, "terminals", tuple(seen))
@@ -225,12 +225,15 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
     build(full, root)
     kept = _prune_to_arborescence(inst, arcs)
     weight = sum(inst.weights[a] for a in kept)
-    assert weight == best, "reconstructed tree disagrees with table optimum"
+    if weight != best:
+        raise RuntimeError(
+            f"reconstructed tree weighs {weight}, the table optimum is {best}"
+        )
     return SteinerSolution(tuple(kept), weight)
 
 
 def brute_dst(inst: SteinerInstance, max_subsets: int = 2_000_000) -> SteinerSolution | None:
-    """Reference solver: scan arc subsets, smallest total weight first.
+    """Reference solver: scan every arc subset, keep the lightest that works.
 
     Only subsets up to n - 1 arcs matter because minimum solutions are
     arborescences.  Intended for small instances; raises RuntimeError when
@@ -245,8 +248,6 @@ def brute_dst(inst: SteinerInstance, max_subsets: int = 2_000_000) -> SteinerSol
     best_subset: tuple | None = None
     checked = 0
     for size in range(largest + 1):
-        if best_key is not None and size > best_key[0]:
-            break  # weights are >= 1, so any larger subset weighs more
         for combo in combinations(range(len(all_arcs)), size):
             checked += 1
             if checked > max_subsets:

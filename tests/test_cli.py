@@ -135,7 +135,7 @@ class TestSolve:
         assert payload["decision"] == "yes"
         assert payload["length"] == 2
         assert payload["method"] == "fpt02"
-        assert payload["chain_transform"] is False
+        assert "chain_transform" not in payload
         assert payload["fallback"] is False
         assert payload["dp_table_entries"] is not None
 
@@ -168,15 +168,18 @@ class TestSolve:
         second = run(capsys, "solve", trade_file, "--json")
         assert first == second
 
-    def test_chain_transform_is_reported(self, capsys, tmp_path):
+    def test_two_effect_good_action_is_solved_directly(self, capsys, tmp_path):
         path = tmp_path / "chained.sasbp"
         path.write_text(CHAINED)
-        code, out, _ = run(capsys, "solve", str(path), "--json")
+        plan = tmp_path / "chained.plan"
+        code, out, _ = run(capsys, "solve", str(path), "--json", "--plan-out", str(plan))
         assert code == 0
         payload = json.loads(out)
         assert payload["decision"] == "yes"
         assert payload["length"] == 2
-        assert payload["chain_transform"] is True
+        assert payload["method"] == "fpt02"
+        assert plan.read_text() == "c1\nab\n"
+        assert run(capsys, "solve", str(path), "--json") == (0, out, "")
 
 
 class TestValidate:

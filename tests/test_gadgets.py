@@ -15,6 +15,7 @@ from sasbp.gadgets import (
     gen_or_tree,
     or_threshold,
 )
+from sasbp.core import validate_plan
 from sasbp.oracle import decide_bfs
 from sasbp.planner02 import solve_02
 from sasbp.restrictions import GOOD, classify_effects, detect_profile
@@ -312,8 +313,9 @@ class TestComposeOr02:
         )
 
         result = solve_02(out.query)
-        assert result.decision and not result.used_lemma1 and not result.fallback
-        assert result.plan_length <= out.query.k
+        assert result.decision and not result.fallback
+        assert result.plan_length <= len(out.witness)
+        assert validate_plan(inst, result.witness).valid
 
         allno = compose_or_02([q02_no(), q02_no()])
         assert allno.ground_truth == NO

@@ -124,6 +124,12 @@ def test_structural_errors_name_their_line(text, message):
         parse_instance(text)
 
 
+@pytest.mark.parametrize("token", ["--2", "\u00b2", "\uff11", "-0", "07", "+1", "1.0"])
+def test_bound_must_be_a_canonical_ascii_integer(token):
+    with pytest.raises(FormatError, match="line 5: expected 'k INT'"):
+        parse_instance(f"SASBP 1\nvar x 0 1\ninit x=0\ngoal\nk {token}\n")
+
+
 def test_reserved_names_need_an_explicit_opt_in():
     text = "SASBP 1\nvar __x 0 1\ninit __x=0\ngoal\nk 0\n"
     with pytest.raises(FormatError, match="line 2: .*reserved '__' prefix"):
@@ -189,16 +195,18 @@ def test_write_steiner_round_trip_with_origins():
 
 
 def test_reduction_artifacts_survive_the_file_format():
-    q = make_query(
-        {"a": 2, "b": 2},
-        [("fix_a", {}, {"a": "1"}), ("trade", {}, {"b": "1", "a": "0"})],
-        {"a": "0", "b": "0"},
-        {"a": "1", "b": "1"},
-        3,
-    )
-    artifacts = reduce_to_steiner(q)
-    text = write_steiner(artifacts.steiner, origins=artifacts.arc_origin)
-    assert parse_steiner(text) == artifacts.steiner
+    # a mixed action, then a two-effect good action with its weight-0 arcs
+    for second in (("trade", {}, {"b": "1", "a": "0"}), ("both", {}, {"a": "1", "b": "1"})):
+        q = make_query(
+            {"a": 2, "b": 2},
+            [("fix_a", {}, {"a": "1"}), second],
+            {"a": "0", "b": "0"},
+            {"a": "1", "b": "1"},
+            3,
+        )
+        artifacts = reduce_to_steiner(q)
+        text = write_steiner(artifacts.steiner, origins=artifacts.arc_origin)
+        assert parse_steiner(text) == artifacts.steiner
 
 
 @pytest.mark.parametrize(
@@ -212,6 +220,13 @@ def test_reduction_artifacts_survive_the_file_format():
         ("node r\nnode x\nroot r\nbound 2\narc r x 1\narc r x 1\n", "line 6: duplicate arc"),
         ("node r\nbound 1\n", "missing root line"),
         ("node r\nroot r\n", "missing bound line"),
+        ("node r\nroot r\nbound --5\n", "line 3: expected a single 'bound INT'"),
+        ("node r\nroot r\nbound \u00b2\n", "line 3: expected a single 'bound INT'"),
+        ("node r\nroot r\nbound -0\n", "line 3: expected a single 'bound INT'"),
+        ("node r\nroot r\nbound 1\narc r a \u00b2\n", "line 4: expected 'arc TAIL HEAD WEIGHT'"),
+        ("node r\nroot r\nbound 1\narc r a \uff11\n", "line 4: expected 'arc TAIL HEAD WEIGHT'"),
+        ("node r\nroot r\nbound 1\narc r a -1\n", "line 4: expected 'arc TAIL HEAD WEIGHT'"),
+        ("node r\nroot r\nbound 1\narc r a 01\n", "line 4: expected 'arc TAIL HEAD WEIGHT'"),
     ],
 )
 def test_steiner_structural_errors(text, message):

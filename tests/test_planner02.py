@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from sasbp.core import validate_plan
+import sasbp.planner02 as planner02
+from sasbp.core import BoundedQuery, validate_plan
 from sasbp.oracle import decide_bfs
-from sasbp.planner02 import ROOT, extract_plan, reduce_to_steiner, solve_02
-from sasbp.preprocess import chain_bound
+from sasbp.planner02 import PAIR, ROOT, extract_plan, reduce_to_steiner, solve_02
+from sasbp.preprocess import lemma1_transform
 from sasbp.steiner import SteinerSolution, solve_dst
 from helpers import make_query, random_02_query
 
@@ -43,7 +44,6 @@ def test_reduction_arcs_and_origins():
         ("c", "b"): ("mix",),
         (ROOT, "c"): ("gc",),
     }
-    assert not artifacts.used_lemma1
 
 
 def test_reduction_rejections():
@@ -67,25 +67,10 @@ def test_reduction_rejections():
     with pytest.raises(ValueError, match="two effects"):
         reduce_to_steiner(q)
 
-    q = make_query(
-        {"__root": 2},
-        [("set", {}, {"__root": "1"})],
-        {"__root": "0"},
-        {"__root": "1"},
-        1,
-    )
-    with pytest.raises(ValueError, match="reserved"):
-        reduce_to_steiner(q)
-
-    q = make_query(
-        {"a": 2, "b": 2},
-        [("both", {}, {"a": "1", "b": "1"})],
-        {"a": "0", "b": "0"},
-        {"a": "1", "b": "1"},
-        2,
-    )
-    with pytest.raises(ValueError, match="chain transform"):
-        reduce_to_steiner(q)
+    for name in (ROOT, PAIR + "1", PAIR):
+        q = make_query({name: 2}, [("set", {}, {name: "1"})], {name: "0"}, {name: "1"}, 1)
+        with pytest.raises(ValueError, match="reserved"):
+            reduce_to_steiner(q)
 
 
 def test_extract_orders_repairs_after_damage():
@@ -109,7 +94,7 @@ def test_solve_yes_at_exact_bound():
     assert result.decision
     assert result.witness == ("mix", "ga", "gc")
     assert result.plan_length == 3
-    assert not result.used_lemma1 and not result.fallback
+    assert not result.fallback
     assert result.dp_table_entries is not None
 
 
@@ -143,7 +128,6 @@ def test_fallback_when_terminals_exceed_the_table_cap():
     assert result.witness == ("set_a", "set_b")
     assert result.explored_states is not None
     assert result.dp_table_entries is None
-    assert result.solved_instance is q.instance
 
 
 def chained_query(k):
@@ -156,27 +140,73 @@ def chained_query(k):
     )
 
 
-def test_two_effect_good_actions_go_through_the_chain_transform():
+def has_pair_node(result) -> bool:
+    return any(node.startswith(PAIR) for node in result.artifacts.steiner.nodes)
+
+
+def test_two_effect_good_actions_get_a_pair_node():
+    artifacts = reduce_to_steiner(chained_query(2))
+    pair = PAIR + "1"
+    assert artifacts.steiner.nodes == (ROOT, "a", "b", "c", pair)
+    assert artifacts.steiner.weights == {
+        (ROOT, pair): 1,
+        (pair, "a"): 0,
+        (pair, "b"): 0,
+        (ROOT, "c"): 1,
+    }
+    assert artifacts.arc_origin[(ROOT, pair)] == ("ab",)
+
     result = solve_02(chained_query(2))
     assert result.decision
-    assert result.used_lemma1 and result.lemma1 is not None
-    assert result.solved_bound == chain_bound(2) == 11
-    assert result.solved_instance is result.lemma1.instance
-    # the witness still speaks the original instance's language
-    assert result.witness == ("ab", "c1")
+    # the pair's fan-out adds no steps: one step settles both a and b
+    assert result.witness == ("c1", "ab")
     assert validate_plan(chained_query(2).instance, result.witness).valid
 
+    # three terminals need two steps, so k=1 is NO
     assert not solve_02(chained_query(1)).decision
 
 
-def test_chain_transform_can_be_refused():
-    with pytest.raises(ValueError, match="allow_lemma1"):
-        solve_02(chained_query(2), allow_lemma1=False)
+def test_pair_nodes_are_shared_per_variable_pair():
+    q = make_query(
+        {"a": 2, "b": 2, "c": 3},
+        [
+            ("ba", {}, {"b": "1", "a": "1"}),
+            ("bc", {}, {"b": "1", "c": "2"}),
+            ("ab", {}, {"a": "1", "b": "1"}),
+        ],
+        {"a": "0", "b": "0", "c": "0"},
+        {"a": "1", "b": "1"},
+        1,
+    )
+    artifacts = reduce_to_steiner(q)
+    assert artifacts.steiner.nodes[-2:] == (PAIR + "1", PAIR + "2")
+    assert artifacts.arc_origin[(ROOT, PAIR + "1")] == ("ba", "ab")
+    assert artifacts.arc_origin[(ROOT, PAIR + "2")] == ("bc",)
+    assert solve_02(q).witness == ("ba",)
+
+
+def test_early_no_counts_two_terminals_per_pair_step():
+    def two_pairs(goal_vars):
+        return make_query(
+            {n: 2 for n in "abcde"},
+            [("ab", {}, {"a": "1", "b": "1"}), ("cd", {}, {"c": "1", "d": "1"})],
+            {n: "0" for n in "abcde"},
+            {n: "1" for n in goal_vars},
+            2,
+        )
+
+    # four terminals at k=2 are YES, so the instant NO must not fire at
+    # len(terminals) > k
+    result = solve_02(two_pairs("abcd"))
+    assert result.decision and result.witness == ("ab", "cd")
+    assert result.dp_table_entries is not None
+    # five terminals are more than two steps can settle
+    result = solve_02(two_pairs("abcde"))
+    assert not result.decision and result.dp_table_entries is None
 
 
 def test_bad_two_effect_actions_are_stripped_not_chained():
-    # the only two-effect action is bad, so no chains are needed even
-    # with the transform disabled
+    # the only two-effect action is bad, so it gets no arc and no pair node
     q = make_query(
         {"a": 2, "b": 2},
         [("ruin", {}, {"a": "0", "b": "0"}), ("fix_a", {}, {"a": "1"})],
@@ -184,23 +214,50 @@ def test_bad_two_effect_actions_are_stripped_not_chained():
         {"a": "1", "b": "1"},
         1,
     )
-    result = solve_02(q, allow_lemma1=False)
-    assert result.decision and not result.used_lemma1
+    result = solve_02(q)
+    assert result.decision and not has_pair_node(result)
     assert result.witness == ("fix_a",)
+    assert result.artifacts.arc_origin == {(ROOT, "a"): ("fix_a",)}
+
+
+@pytest.mark.parametrize("bad_plan,message", [
+    (("gc",), "failed validation"),
+    (("mix", "ga", "gc", "ga"), "over the bound"),
+])
+def test_witness_postconditions_are_checked(monkeypatch, bad_plan, message):
+    monkeypatch.setattr(planner02, "extract_plan", lambda artifacts, solution: bad_plan)
+    with pytest.raises(RuntimeError, match=message):
+        solve_02(repair_query(3))
+
+
+def test_pair_path_chain_path_and_oracle_agree():
+    rng = random.Random(2718)
+    yes = paired = 0
+    for _ in range(40):
+        query = random_02_query(rng, max_vars=4, max_actions=5, max_k=2)
+        oracle = decide_bfs(query)
+        result = solve_02(query)
+        chained = lemma1_transform(query)
+        via_chain = solve_02(BoundedQuery(chained.instance, chained.k_prime))
+        assert result.decision == via_chain.decision == oracle.decision, query
+        paired += has_pair_node(result)
+        if result.decision:
+            yes += 1
+            assert result.plan_length == oracle.shortest_length
+            assert validate_plan(query.instance, result.witness).valid
+    assert yes > 5 and 40 - yes > 5 and paired > 5
 
 
 def test_agrees_with_search_oracle_on_random_queries():
     rng = random.Random(61803)
-    yes = no = chained = 0
+    yes = no = paired = 0
     for _ in range(100):
         query = random_02_query(rng)
         oracle = decide_bfs(query)
         result = solve_02(query)
         assert result.decision == oracle.decision, query
         assert not result.fallback
-        if result.used_lemma1:
-            chained += 1
-            assert result.solved_bound == chain_bound(query.k)
+        paired += has_pair_node(result)
         if result.decision:
             yes += 1
             assert result.plan_length == oracle.shortest_length
@@ -209,4 +266,4 @@ def test_agrees_with_search_oracle_on_random_queries():
         else:
             no += 1
             assert result.witness is None
-    assert yes > 15 and no > 15 and chained > 5
+    assert yes > 15 and no > 15 and paired > 5

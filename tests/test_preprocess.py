@@ -4,7 +4,7 @@ import pytest
 
 from sasbp.core import BoundedQuery, validate_plan
 from sasbp.oracle import decide_bfs
-from sasbp.preprocess import chain_bound, lemma1_transform, lift_plan, project_plan
+from sasbp.preprocess import _split_mixed, chain_bound, lemma1_transform, lift_plan
 from sasbp.restrictions import GOOD, classify_effects, detect_profile
 from helpers import make_query, random_02_query
 
@@ -92,12 +92,13 @@ def test_lift_plan_validity_and_length():
         lift_plan(out, ["ghost"])
 
 
-def test_project_inverts_lift():
-    out = lemma1_transform(two_effect_query())
-    source_plan = ("ab", "swap", "cfix")
-    assert project_plan(out, lift_plan(out, source_plan)) == source_plan
-    with pytest.raises(ValueError, match="does not belong"):
-        project_plan(out, ["ghost"])
+def test_split_mixed_needs_one_good_and_one_bad_effect():
+    inst = two_effect_query().instance
+    per_effect = classify_effects(inst).per_effect
+    swap = inst.action_by_name["swap"]
+    assert _split_mixed(swap, per_effect) == (("a", "1"), ("c", "0"))
+    with pytest.raises(ValueError, match="one good and one bad"):
+        _split_mixed(inst.action_by_name["ab"], per_effect)
 
 
 def test_decision_preserved_on_random_queries():

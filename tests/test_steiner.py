@@ -36,7 +36,7 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="root"):
         SteinerInstance(("a",), {}, "b", (), 0)
     with pytest.raises(ValueError, match="weight"):
-        SteinerInstance(("a", "b"), {("a", "b"): 0}, "a", ("b",), 1)
+        SteinerInstance(("a", "b"), {("a", "b"): -1}, "a", ("b",), 1)
     with pytest.raises(ValueError, match="terminal"):
         SteinerInstance(("a",), {}, "a", ("b",), 1)
 
@@ -116,23 +116,43 @@ def test_extract_rejects_foreign_arcs():
         extract_arborescence(solution, other)
 
 
-def random_steiner(rng: random.Random) -> SteinerInstance:
+def random_steiner(rng: random.Random, weight_choices=(1,)) -> SteinerInstance:
     n = rng.randint(2, 7)
     nodes = tuple(f"n{i}" for i in range(n))
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
     rng.shuffle(pairs)
-    weights = {arc: 1 for arc in pairs[: rng.randint(0, min(14, len(pairs)))]}
+    weights = {
+        arc: rng.choice(weight_choices)
+        for arc in pairs[: rng.randint(0, min(14, len(pairs)))]
+    }
     root = nodes[0]
     others = list(nodes[1:])
     terminals = tuple(rng.sample(others, rng.randint(0, min(3, len(others)))))
     return SteinerInstance(nodes, weights, root, terminals, rng.randint(0, 6))
 
 
-def test_agrees_with_brute_force_on_random_instances():
-    rng = random.Random(90210)
+def pair_fan_out():
+    # one weight-1 arc into p reaches both terminals; direct arcs cost 2
+    return SteinerInstance(
+        nodes=("r", "a", "b", "p"),
+        weights={("r", "p"): 1, ("p", "a"): 0, ("p", "b"): 0, ("r", "a"): 1, ("r", "b"): 1},
+        root="r",
+        terminals=("a", "b"),
+        bound=2,
+    )
+
+
+def test_zero_weight_fan_out_is_found_by_both_solvers():
+    for solver in (solve_dst, brute_dst):
+        solution = solver(pair_fan_out())
+        assert solution.total_weight == 1
+        assert set(solution.arcs) == {("r", "p"), ("p", "a"), ("p", "b")}
+
+
+def check_against_brute_force(rng: random.Random, weight_choices) -> None:
     solved = empty = 0
     for _ in range(60):
-        inst = random_steiner(rng)
+        inst = random_steiner(rng, weight_choices)
         fast = solve_dst(inst)
         slow = brute_dst(inst)
         assert (fast is None) == (slow is None)
@@ -148,6 +168,14 @@ def test_agrees_with_brute_force_on_random_instances():
         assert len(heads) == len(set(heads))
         assert inst.root not in heads
     assert solved > 10 and empty > 5
+
+
+def test_agrees_with_brute_force_on_random_instances():
+    check_against_brute_force(random.Random(90210), (1,))
+
+
+def test_agrees_with_brute_force_on_random_zero_one_weights():
+    check_against_brute_force(random.Random(31337), (0, 1))
 
 
 def test_deterministic_resolution():
