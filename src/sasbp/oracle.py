@@ -46,7 +46,8 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
     """Decide whether a plan of length at most k exists.
 
     Returns a shortest witness on YES.  Raises ResourceLimitError once more
-    than max_states states have been expanded.
+    than max_states states have been expanded or, checked once per
+    expansion, stored.
     """
     inst = query.instance
     actions = _compiled(query)
@@ -59,9 +60,10 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
     while queue:
         state, depth = queue.popleft()
         explored += 1
-        if explored > max_states:
+        if explored > max_states or len(came_from) > max_states:
             raise ResourceLimitError(
-                f"state budget of {max_states} exhausted at depth {depth}"
+                f"state budget of {max_states} exhausted at depth {depth}: "
+                f"{explored} states expanded, {len(came_from)} stored"
             )
         if all(state[i] == v for i, v in goal):
             steps = []

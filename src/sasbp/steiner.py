@@ -5,15 +5,17 @@ are infinite), a root, a terminal set and a bound.  A solution is an arc set of
 minimum total weight that reaches every terminal from the root, pruned to an
 out-arborescence; None is returned when the minimum exceeds the bound.
 
-solve_dst runs a subset dynamic program over terminal sets on top of
-all-pairs shortest paths: the cheapest tree hanging off a node either walks
-a shortest path down to the first branching node or splits its terminal set
-there.  brute_dst is an independent brute-force reference over small arc
-subsets used to cross-check the dynamic program.
+solve_dst runs a subset dynamic program over terminal sets on the sparse arc
+list: the cheapest tree hanging off a node either follows one arc down or
+splits its terminal set there, so each terminal set takes one Dijkstra
+seeded with the split costs, and weights above the bound are dropped
+(Erickson, Monma and Veinott 1987).  brute_dst is an independent brute-force
+reference over small arc subsets used to cross-check the dynamic program.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -65,44 +67,6 @@ class SteinerSolution:
     total_weight: int
 
 
-def _shortest_paths(inst: SteinerInstance):
-    """Floyd-Warshall distances and next-hop matrix, deterministic on ties."""
-    n = len(inst.nodes)
-    index = inst.index
-    dist = [[INFINITY] * n for _ in range(n)]
-    nxt: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-        nxt[i][i] = i
-    for (u, v), w in inst.weights.items():
-        i, j = index[u], index[v]
-        if w < dist[i][j]:
-            dist[i][j] = w
-            nxt[i][j] = j
-    for m in range(n):
-        dm = dist[m]
-        for i in range(n):
-            via = dist[i][m]
-            if via is INFINITY:
-                continue
-            di = dist[i]
-            for j in range(n):
-                cand = via + dm[j]
-                if cand < di[j]:
-                    di[j] = cand
-                    nxt[i][j] = nxt[i][m]
-    return dist, nxt
-
-
-def _path_arcs(inst: SteinerInstance, nxt, i: int, j: int) -> list[tuple[str, str]]:
-    arcs = []
-    while i != j:
-        step = nxt[i][j]
-        arcs.append((inst.nodes[i], inst.nodes[step]))
-        i = step
-    return arcs
-
-
 def _prune_to_arborescence(inst: SteinerInstance, arcs) -> list[tuple[str, str]]:
     """Keep a deterministic spanning tree of the arc set, restricted to
     branches that lead to terminals."""
@@ -136,14 +100,46 @@ def _prune_to_arborescence(inst: SteinerInstance, arcs) -> list[tuple[str, str]]
     return kept
 
 
+def _descend(into, seeds: dict[int, int], bound: int):
+    """Multi-source Dijkstra along reversed arcs from trees that start at the
+    seeds, dropping weights above the bound.  Each node keeps its least label
+    (weight, seed, node), so equal weights go to the lowest-declared seed, as
+    in a dense Dreyfus-Wagner table.  Returns the weights (INFINITY when
+    beyond the bound) and each node's next hop toward its seed.
+    """
+    label: list = [None] * len(into)
+    hop: list = [None] * len(into)
+    heap = [(value, u, u) for u, value in seeds.items()]
+    for entry in heap:
+        label[entry[2]] = entry
+    heapq.heapify(heap)
+    while heap:
+        entry = heapq.heappop(heap)
+        value, seed, v = entry
+        if entry is not label[v]:
+            continue
+        for u, w in into[v]:
+            if value + w <= bound:
+                cand = (value + w, seed, u)
+                if label[u] is None or cand < label[u]:
+                    label[u] = cand
+                    hop[u] = v
+                    heapq.heappush(heap, cand)
+    return [INFINITY if x is None else x[0] for x in label], hop
+
+
 def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSolution | None:
     """Minimum-weight directed Steiner tree within the bound, or None.
 
-    Table f[S][v] is the cheapest weight of a tree rooted at v covering
-    terminal subset S.  Singletons are shortest paths; larger subsets either
-    split at the root of the subtree or walk a shortest path to the node
-    where they split.  Reconstruction follows recorded choices, so equal
-    weight ties resolve deterministically by node declaration order.
+    Table f[S][v] is the cheapest weight, within the bound, of a tree rooted
+    at v covering terminal subset S.  A singleton row is a Dijkstra from its
+    terminal.  A larger subset first splits in two at the nodes where a tree
+    can branch (out-degree two or more, or a terminal of S) and that reach
+    all of S; a Dijkstra from those split costs then carries the subtree
+    back along single arcs.  A terminal beyond the bound from the root is a
+    NO before any larger subset is tabled.  Reconstruction follows the
+    recorded next hops and splits, so equal-weight ties resolve
+    deterministically by node declaration order.
     """
     terminals = inst.terminals
     if not terminals:
@@ -157,72 +153,74 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
 
     n = len(inst.nodes)
     index = inst.index
-    dist, nxt = _shortest_paths(inst)
+    bound = inst.bound
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out_degree = [0] * n
+    for (u, v), w in inst.weights.items():
+        into[index[v]].append((index[u], w))
+        out_degree[index[u]] += 1
     root = index[inst.root]
     t_idx = [index[t] for t in terminals]
     full = (1 << len(t_idx)) - 1
 
-    f: list[list] = [[]] * (full + 1)
-    choice: list[list] = [[]] * (full + 1)
+    f: list = [None] * (full + 1)
+    hops: list = [None] * (full + 1)
+    splits: list = [None] * (full + 1)
+    reach = [0] * n
+    t_mask = [0] * n
     for bit, t in enumerate(t_idx):
-        f[1 << bit] = [dist[v][t] for v in range(n)]
-        choice[1 << bit] = [("reach", t)] * n
+        t_mask[t] |= 1 << bit
+        f[1 << bit], hops[1 << bit] = _descend(into, {t: 0}, bound)
+        for v, value in enumerate(f[1 << bit]):
+            if value <= bound:
+                reach[v] |= 1 << bit
+    if reach[root] != full:
+        # Some terminal lies beyond the bound from the root.
+        return None
+
+    forks = [u for u in range(n) if out_degree[u] >= 2 or t_mask[u]]
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
             continue
         low = mask & -mask
-        merged = [INFINITY] * n
-        merged_sub = [0] * n
+        branch = [u for u in forks if reach[u] & mask == mask
+                  and (out_degree[u] >= 2 or t_mask[u] & mask)]
+        halves = []
         sub = (mask - 1) & mask
         while sub:
             if sub & low:
-                rest = mask ^ sub
-                f_sub, f_rest = f[sub], f[rest]
-                for v in range(n):
-                    cand = f_sub[v] + f_rest[v]
-                    if cand < merged[v]:
-                        merged[v] = cand
-                        merged_sub[v] = sub
+                halves.append((f[sub], f[mask ^ sub], sub))
             sub = (sub - 1) & mask
-        row = [INFINITY] * n
-        ch: list = [None] * n
-        for v in range(n):
-            dv = dist[v]
-            best = INFINITY
-            best_u = None
-            for u in range(n):
-                cand = dv[u] + merged[u]
+        merged, split = {}, {}
+        for u in branch:
+            best = bound + 1
+            for f_sub, f_rest, sub in halves:
+                cand = f_sub[u] + f_rest[u]
                 if cand < best:
-                    best = cand
-                    best_u = u
-            row[v] = best
-            if best_u is not None:
-                ch[v] = ("via", best_u, merged_sub[best_u])
-        f[mask] = row
-        choice[mask] = ch
+                    best, split[u] = cand, sub
+            if best <= bound:
+                merged[u] = best
+        f[mask], hops[mask] = _descend(into, merged, bound)
+        splits[mask] = split
     if stats_out is not None:
-        stats_out["table_entries"] = (full) * n
+        stats_out["table_entries"] = full * n
         stats_out["terminals"] = len(t_idx)
 
     best = f[full][root]
-    if best is INFINITY or best > inst.bound:
+    if best > bound:
         return None
 
-    arcs: dict[tuple[str, str], None] = {}
-
-    def build(mask: int, v: int) -> None:
-        picked = choice[mask][v]
-        if picked[0] == "reach":
-            for arc in _path_arcs(inst, nxt, v, picked[1]):
-                arcs[arc] = None
-        else:
-            _, u, sub = picked
-            for arc in _path_arcs(inst, nxt, v, u):
-                arcs[arc] = None
-            build(sub, u)
-            build(mask ^ sub, u)
-
-    build(full, root)
+    arcs = set()
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        hop = hops[mask]
+        while hop[v] is not None:
+            arcs.add((inst.nodes[v], inst.nodes[hop[v]]))
+            v = hop[v]
+        if mask & (mask - 1):
+            sub = splits[mask][v]
+            stack += [(sub, v), (mask ^ sub, v)]
     kept = _prune_to_arborescence(inst, arcs)
     weight = sum(inst.weights[a] for a in kept)
     if weight != best:

@@ -10,6 +10,12 @@ from sasbp.core import (
     PlanningInstance,
     Variable,
 )
+from sasbp.steiner import (
+    INFINITY,
+    SteinerInstance,
+    SteinerSolution,
+    _prune_to_arborescence,
+)
 
 BIN = ("0", "1")
 
@@ -88,3 +94,144 @@ def reaches_all(root, terminals, arcs) -> bool:
                 seen.add(head)
                 frontier.append(head)
     return all(t in seen for t in terminals)
+
+
+# Dreyfus-Wagner over all-pairs shortest paths: the dense subset DP that
+# sasbp.steiner.solve_dst replaced, kept as a reference for its answers
+# and its tie choices.
+
+
+def _shortest_paths(inst: SteinerInstance):
+    """Floyd-Warshall distances and next-hop matrix, deterministic on ties."""
+    n = len(inst.nodes)
+    index = inst.index
+    dist = [[INFINITY] * n for _ in range(n)]
+    nxt: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+        nxt[i][i] = i
+    for (u, v), w in inst.weights.items():
+        i, j = index[u], index[v]
+        if w < dist[i][j]:
+            dist[i][j] = w
+            nxt[i][j] = j
+    for m in range(n):
+        dm = dist[m]
+        for i in range(n):
+            via = dist[i][m]
+            if via is INFINITY:
+                continue
+            di = dist[i]
+            for j in range(n):
+                cand = via + dm[j]
+                if cand < di[j]:
+                    di[j] = cand
+                    nxt[i][j] = nxt[i][m]
+    return dist, nxt
+
+
+def _path_arcs(inst: SteinerInstance, nxt, i: int, j: int) -> list[tuple[str, str]]:
+    arcs = []
+    while i != j:
+        step = nxt[i][j]
+        arcs.append((inst.nodes[i], inst.nodes[step]))
+        i = step
+    return arcs
+
+
+def dreyfus_wagner_reference(
+    inst: SteinerInstance, stats_out: dict | None = None
+) -> SteinerSolution | None:
+    """Dense Dreyfus-Wagner reference for solve_dst: same answers, same arcs.
+
+    Table f[S][v] is the cheapest weight of a tree rooted at v covering
+    terminal subset S.  Singletons are shortest paths; larger subsets either
+    split at the root of the subtree or walk a shortest path to the node
+    where they split.  Reconstruction follows recorded choices, so equal
+    weight ties resolve deterministically by node declaration order.
+    """
+    terminals = inst.terminals
+    if not terminals:
+        return SteinerSolution((), 0) if inst.bound >= 0 else None
+    min_w = inst.min_finite_weight()
+    if min_w is None:
+        return None
+    if len(terminals) * min_w > inst.bound:
+        # Each terminal needs a distinct incoming arc.
+        return None
+
+    n = len(inst.nodes)
+    index = inst.index
+    dist, nxt = _shortest_paths(inst)
+    root = index[inst.root]
+    t_idx = [index[t] for t in terminals]
+    full = (1 << len(t_idx)) - 1
+
+    f: list[list] = [[]] * (full + 1)
+    choice: list[list] = [[]] * (full + 1)
+    for bit, t in enumerate(t_idx):
+        f[1 << bit] = [dist[v][t] for v in range(n)]
+        choice[1 << bit] = [("reach", t)] * n
+    for mask in range(1, full + 1):
+        if mask & (mask - 1) == 0:
+            continue
+        low = mask & -mask
+        merged = [INFINITY] * n
+        merged_sub = [0] * n
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:
+                rest = mask ^ sub
+                f_sub, f_rest = f[sub], f[rest]
+                for v in range(n):
+                    cand = f_sub[v] + f_rest[v]
+                    if cand < merged[v]:
+                        merged[v] = cand
+                        merged_sub[v] = sub
+            sub = (sub - 1) & mask
+        row = [INFINITY] * n
+        ch: list = [None] * n
+        for v in range(n):
+            dv = dist[v]
+            best = INFINITY
+            best_u = None
+            for u in range(n):
+                cand = dv[u] + merged[u]
+                if cand < best:
+                    best = cand
+                    best_u = u
+            row[v] = best
+            if best_u is not None:
+                ch[v] = ("via", best_u, merged_sub[best_u])
+        f[mask] = row
+        choice[mask] = ch
+    if stats_out is not None:
+        stats_out["table_entries"] = (full) * n
+        stats_out["terminals"] = len(t_idx)
+
+    best = f[full][root]
+    if best is INFINITY or best > inst.bound:
+        return None
+
+    arcs: dict[tuple[str, str], None] = {}
+
+    def build(mask: int, v: int) -> None:
+        picked = choice[mask][v]
+        if picked[0] == "reach":
+            for arc in _path_arcs(inst, nxt, v, picked[1]):
+                arcs[arc] = None
+        else:
+            _, u, sub = picked
+            for arc in _path_arcs(inst, nxt, v, u):
+                arcs[arc] = None
+            build(sub, u)
+            build(mask ^ sub, u)
+
+    build(full, root)
+    kept = _prune_to_arborescence(inst, arcs)
+    weight = sum(inst.weights[a] for a in kept)
+    if weight != best:
+        raise RuntimeError(
+            f"reconstructed tree weighs {weight}, the table optimum is {best}"
+        )
+    return SteinerSolution(tuple(kept), weight)

@@ -17,7 +17,7 @@ from sasbp.gadgets import (
 )
 from sasbp.core import validate_plan
 from sasbp.oracle import decide_bfs
-from sasbp.planner02 import solve_02
+from sasbp.planner02 import DEFAULT_DP_CAP, solve_02
 from sasbp.restrictions import GOOD, classify_effects, detect_profile
 from helpers import make_query
 
@@ -320,6 +320,18 @@ class TestComposeOr02:
         allno = compose_or_02([q02_no(), q02_no()])
         assert allno.ground_truth == NO
         assert not solve_02(allno.query).decision
+
+    def test_all_no_composition_stops_before_the_subset_table(self):
+        # Repairing a selector bit breaks an input's goal variable, which no
+        # action writes, so no selector bit is reachable from the root and
+        # the Steiner solver answers NO from its single-terminal rows alone.
+        out = compose_or_02([q02_no(2), q02_no(2)])
+        assert out.ground_truth == NO
+        result = solve_02(out.query)
+        terminals = result.artifacts.steiner.terminals
+        assert 2 <= len(terminals) <= min(DEFAULT_DP_CAP, out.query.k)
+        assert not result.decision and not result.fallback
+        assert result.dp_table_entries is None
 
     def test_yes_without_witness_still_propagates(self):
         silent = GadgetOutput(q02_yes().query, YES)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -67,6 +68,30 @@ def test_state_cap_raises():
     with pytest.raises(ResourceLimitError):
         decide_bfs(q, max_states=2)
     assert decide_bfs(q, max_states=100).decision
+
+
+def test_state_budget_bounds_stored_states():
+    # 16 three-valued variables with a setter per non-initial value: every
+    # expansion stores up to 32 new states, so stored states outrun the
+    # expanded ones long before the expansion count reaches the budget
+    names = [f"v{i}" for i in range(16)]
+    actions = [(f"set_{n}_{x}", {}, {n: x}) for n in names for x in ("1", "2")]
+    q = make_query(
+        {n: 3 for n in names},
+        actions,
+        {n: "0" for n in names},
+        {n: "2" for n in names},
+        16,
+    )
+    budget = 50
+    with pytest.raises(ResourceLimitError) as caught:
+        decide_bfs(q, max_states=budget)
+    message = str(caught.value)
+    assert message.startswith(f"state budget of {budget} exhausted at depth 1: ")
+    expanded, stored = map(
+        int, re.search(r"(\d+) states expanded, (\d+) stored", message).groups()
+    )
+    assert expanded < budget < stored <= budget + len(actions)
 
 
 def test_enumerate_plans_orders_by_length_then_declaration():

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from sasbp.planner02 import PAIR, reduce_to_steiner
 from sasbp.steiner import (
     SteinerInstance,
     brute_dst,
     extract_arborescence,
     solve_dst,
 )
-from helpers import reaches_all
+from helpers import dreyfus_wagner_reference, random_02_query, reaches_all
 
 
 def diamond():
@@ -66,6 +67,31 @@ def test_diamond_picks_the_shared_branch():
     assert set(solution.arcs) == {("s", "b"), ("b", "t1"), ("b", "t2")}
 
 
+def test_equal_weight_trees_split_at_the_lowest_declared_node():
+    # Splitting at a or at b both cost 3; b's branch is found first by a
+    # search from the terminals, but a is declared first and wins, as in
+    # the dense table.
+    inst = SteinerInstance(
+        nodes=("r", "a", "b", "p", "q", "t1", "t2"),
+        weights={
+            ("r", "p"): 0,
+            ("p", "a"): 1,
+            ("r", "q"): 1,
+            ("q", "b"): 0,
+            ("a", "t1"): 1,
+            ("a", "t2"): 1,
+            ("b", "t1"): 1,
+            ("b", "t2"): 1,
+        },
+        root="r",
+        terminals=("t1", "t2"),
+        bound=3,
+    )
+    solution = solve_dst(inst)
+    assert solution == dreyfus_wagner_reference(inst)
+    assert solution.arcs == (("r", "p"), ("a", "t1"), ("a", "t2"), ("p", "a"))
+
+
 def test_bound_is_respected():
     inst = diamond()
     tight = SteinerInstance(inst.nodes, dict(inst.weights), inst.root, inst.terminals, 2)
@@ -75,6 +101,32 @@ def test_bound_is_respected():
 def test_unreachable_terminal():
     inst = SteinerInstance(("s", "t"), {}, "s", ("t",), 5)
     assert solve_dst(inst) is None
+
+
+def test_early_no_when_a_terminal_is_out_of_reach():
+    # t2 has no incoming arc at all; t1 sits three arcs below the root
+    unreachable = SteinerInstance(
+        nodes=("s", "a", "t1", "t2"),
+        weights={("s", "a"): 1, ("a", "t1"): 1},
+        root="s",
+        terminals=("t1", "t2"),
+        bound=5,
+    )
+    too_far = SteinerInstance(
+        nodes=("s", "a", "b", "t1"),
+        weights={("s", "a"): 1, ("a", "b"): 1, ("b", "t1"): 1},
+        root="s",
+        terminals=("t1",),
+        bound=2,
+    )
+    for inst in (unreachable, too_far):
+        stats = {}
+        assert solve_dst(inst, stats_out=stats) is None
+        assert "table_entries" not in stats  # no subset table was built
+    near = SteinerInstance(too_far.nodes, dict(too_far.weights), "s", ("t1",), 3)
+    stats = {}
+    assert solve_dst(near, stats_out=stats).total_weight == 3
+    assert stats["table_entries"] == 4
 
 
 def test_early_exit_when_terminals_exceed_budget():
@@ -191,3 +243,43 @@ def test_brute_force_subset_budget():
     inst = SteinerInstance(nodes, weights, "n0", ("n1", "n2", "n3"), 6)
     with pytest.raises(RuntimeError, match="budget"):
         brute_dst(inst, max_subsets=10)
+
+
+def test_matches_dreyfus_wagner_on_planning_reductions():
+    # The solve path's Steiner instances get exactly the reference's arcs, so
+    # plans extracted from them stay byte-identical.
+    rng = random.Random(8128)
+    solved = paired = 0
+    for _ in range(200):
+        steiner = reduce_to_steiner(random_02_query(rng, 7, 10, 5)).steiner
+        solution = solve_dst(steiner)
+        assert solution == dreyfus_wagner_reference(steiner)
+        solved += solution is not None
+        paired += any(node.startswith(PAIR) for node in steiner.nodes)
+    assert solved > 50 and 200 - solved > 50 and paired > 50
+
+
+def medium_steiner(rng: random.Random) -> SteinerInstance:
+    n = rng.randint(15, 40)
+    nodes = tuple(f"n{i}" for i in range(n))
+    weights = {}
+    for _ in range(rng.randint(n, 3 * n)):
+        weights[tuple(rng.sample(nodes, 2))] = rng.choice((0, 1, 2))
+    terminals = tuple(rng.sample(nodes[1:], rng.randint(1, 6)))
+    return SteinerInstance(nodes, weights, nodes[0], terminals, rng.randint(0, 12))
+
+
+def test_matches_dreyfus_wagner_weight_on_medium_instances():
+    # Too large for brute_dst; arcs may differ on equal-weight ties.
+    rng = random.Random(1987)
+    solved = 0
+    for _ in range(200):
+        inst = medium_steiner(rng)
+        fast = solve_dst(inst)
+        reference = dreyfus_wagner_reference(inst)
+        assert (fast is None) == (reference is None)
+        if fast is not None:
+            solved += 1
+            assert fast.total_weight == reference.total_weight
+            assert reaches_all(inst.root, inst.terminals, fast.arcs)
+    assert 30 < solved < 170
