@@ -40,12 +40,14 @@ from .gadgets import (
     gen_or_tree,
     or_threshold,
 )
-from .oracle import OracleResult, ResourceLimitError, decide_bfs, enumerate_plans
+from .oracle import OracleResult, ResourceLimitError, decide_bfs
 from .planner02 import (
     Planner02Result,
     ReductionArtifacts,
     extract_plan,
+    pick_method,
     reduce_to_steiner,
+    solve,
     solve_02,
 )
 from .preprocess import Lemma1Output, chain_bound, lemma1_transform, lift_plan
@@ -97,7 +99,6 @@ __all__ = [
     "compose_or_pub",
     "decide_bfs",
     "detect_profile",
-    "enumerate_plans",
     "extract_arborescence",
     "extract_plan",
     "gen_clique_gadget",
@@ -114,7 +115,9 @@ __all__ = [
     "parse_instance",
     "parse_plan",
     "parse_steiner",
+    "pick_method",
     "reduce_to_steiner",
+    "solve",
     "solve_02",
     "solve_dst",
     "strip_bad_actions",

@@ -49,8 +49,8 @@ from .gadgets import (
     gen_or2,
     gen_or_tree,
 )
-from .oracle import DEFAULT_MAX_STATES, ResourceLimitError, decide_bfs
-from .planner02 import solve_02
+from .oracle import DEFAULT_MAX_STATES, ResourceLimitError
+from .planner02 import METHODS, pick_method, reduce_to_steiner, solve
 from .restrictions import detect_profile, lookup_complexity
 from .steiner import solve_dst
 
@@ -63,12 +63,6 @@ EXIT_RESOURCE = 3
 def _read_query(args) -> BoundedQuery:
     text = Path(args.instance).read_text()
     return parse_instance(text, allow_reserved=args.allow_reserved)
-
-
-def _auto_method(profile) -> str:
-    if profile.max_preconditions == 0 and profile.max_effects <= 2:
-        return "fpt02"
-    return "oracle"
 
 
 def _record_dict(record) -> dict:
@@ -110,43 +104,25 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     query = _read_query(args)
-    profile = detect_profile(query.instance)
-    method = args.method
-    if method == "auto":
-        method = _auto_method(profile)
-
-    if method == "fpt02":
-        result = solve_02(query, max_states=args.max_states)
-        decision = result.decision
-        witness = result.witness
-        length = result.plan_length
-        detail = {
+    result = solve(query, args.method, max_states=args.max_states)
+    decision = result.decision
+    if args.json:
+        payload = {
+            "decision": "yes" if decision else "no",
+            "length": result.plan_length,
+            "method": result.method,
             "fallback": result.fallback,
             "explored_states": result.explored_states,
             "dp_table_entries": result.dp_table_entries,
         }
-    else:
-        oracle = decide_bfs(query, max_states=args.max_states)
-        decision = oracle.decision
-        witness = oracle.witness
-        length = oracle.shortest_length
-        detail = {
-            "fallback": False,
-            "explored_states": oracle.explored_states,
-            "dp_table_entries": None,
-        }
-
-    if args.json:
-        payload = {"decision": "yes" if decision else "no", "length": length, "method": method}
-        payload.update(detail)
         print(json.dumps(payload, sort_keys=True))
     else:
         print("YES" if decision else "NO")
         if decision:
-            print(f"plan length: {length}")
-        print(f"method: {method}")
+            print(f"plan length: {result.plan_length}")
+        print(f"method: {result.method}")
     if decision and args.plan_out:
-        Path(args.plan_out).write_text(write_plan(witness))
+        Path(args.plan_out).write_text(write_plan(result.witness))
         if not args.json:
             print(f"plan written to {args.plan_out}")
     return EXIT_YES if decision else EXIT_NO
@@ -184,8 +160,6 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_to_steiner(args) -> int:
-    from .planner02 import reduce_to_steiner
-
     query = _read_query(args)
     artifacts = reduce_to_steiner(query)
     Path(args.out).write_text(write_steiner(artifacts.steiner, origins=artifacts.arc_origin))
@@ -330,22 +304,16 @@ def cmd_bench(args) -> int:
     rows = []
     for path in paths:
         query = parse_instance(path.read_text(), allow_reserved=True)
-        profile = detect_profile(query.instance)
-        method = _auto_method(profile)
+        method = pick_method(query.instance)
         explored = dp_entries = terminals = ""
         start = time.perf_counter()
         try:
-            if method == "fpt02":
-                result = solve_02(query, max_states=args.max_states)
-                decision = "YES" if result.decision else "NO"
-                explored = result.explored_states or ""
-                dp_entries = result.dp_table_entries or ""
-                if result.artifacts is not None:
-                    terminals = len(result.artifacts.steiner.terminals)
-            else:
-                oracle = decide_bfs(query, max_states=args.max_states)
-                decision = "YES" if oracle.decision else "NO"
-                explored = oracle.explored_states
+            result = solve(query, method, max_states=args.max_states)
+            decision = "YES" if result.decision else "NO"
+            explored = result.explored_states or ""
+            dp_entries = result.dp_table_entries or ""
+            if result.artifacts is not None:
+                terminals = len(result.artifacts.steiner.terminals)
         except ResourceLimitError:
             decision = "GAVE_UP"
         elapsed = time.perf_counter() - start
@@ -400,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide bounded plan existence")
     add_instance_arg(p)
-    p.add_argument("--method", choices=("auto", "oracle", "fpt02"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--plan-out", help="write the witness plan here on YES")
     p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     p.add_argument("--json", action="store_true")

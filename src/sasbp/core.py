@@ -245,11 +245,3 @@ def validate_plan(inst: PlanningInstance, plan: Sequence[str]) -> ValidationRepo
         )
     return ValidationReport(True, tuple(trace))
 
-
-def lint_instance(inst: PlanningInstance) -> list[str]:
-    """Non-fatal warnings about structurally useless parts of an instance."""
-    warnings = []
-    for action in inst.actions:
-        if len(action.eff) == 0:
-            warnings.append(f"action {action.name!r} has no effects")
-    return warnings

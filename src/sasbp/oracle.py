@@ -87,42 +87,3 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                 queue.append((successor, depth + 1))
     return OracleResult(False, None, explored, None)
 
-
-def enumerate_plans(
-    query: BoundedQuery, limit: int, max_sequences: int = DEFAULT_MAX_STATES
-) -> list[tuple[str, ...]]:
-    """List up to `limit` valid plans of length at most k.
-
-    Plans are ordered by length first, then lexicographically by action
-    indices.  Unlike decide_bfs this walks action sequences, not deduplicated
-    states, so it also finds plans that revisit states.
-    """
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    inst = query.instance
-    actions = _compiled(query)
-    goal = tuple((inst.variable_index[n], v) for n, v in inst.goal.items())
-    start = inst.encode(inst.init)
-
-    found: list[tuple[str, ...]] = []
-    queue = deque([(start, ())])
-    checked = 0
-    while queue and len(found) < limit:
-        state, seq = queue.popleft()
-        checked += 1
-        if checked > max_sequences:
-            raise ResourceLimitError(
-                f"sequence budget of {max_sequences} exhausted"
-            )
-        if all(state[i] == v for i, v in goal):
-            found.append(tuple(actions[i][0] for i in seq))
-        if len(seq) == query.k:
-            continue
-        for action_index, (_, pre, eff) in enumerate(actions):
-            if any(state[i] != v for i, v in pre):
-                continue
-            successor = list(state)
-            for i, v in eff:
-                successor[i] = v
-            queue.append((tuple(successor), seq + (action_index,)))
-    return found

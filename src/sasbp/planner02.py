@@ -18,6 +18,9 @@ exists exactly when a Steiner tree of weight at most k does.  A plan is read
 off the tree by emitting its arc layers deepest first, with the root layer
 (the good actions) last, so every value broken along the way is repaired
 afterwards; weight-0 arcs emit nothing.
+
+solve() is the entry point for any task: pick_method routes the (0, <=2)
+fragment here and everything else to the search oracle.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BoundedQuery, PlanningInstance, validate_plan
-from .oracle import DEFAULT_MAX_STATES, decide_bfs
-from .restrictions import GOOD, broken_variables, classify_effects, detect_profile
+from .oracle import DEFAULT_MAX_STATES, OracleResult, decide_bfs
+from .restrictions import GOOD, broken_variables, classify_effects
 from .steiner import SteinerInstance, SteinerSolution, extract_arborescence, solve_dst
 
 ROOT = "__root"
 PAIR = "__pair"
 DEFAULT_DP_CAP = 18
+METHODS = ("auto", "oracle", "fpt02")
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,9 @@ class ReductionArtifacts:
 class Planner02Result:
     """Decision plus, on YES, a shortest witness for the queried instance.
 
-    fallback marks decisions delegated to the search oracle because the
-    terminal set exceeded the table cap.
+    method names the solver that was asked for, "fpt02" or "oracle".
+    fallback marks fpt02 decisions delegated to the search oracle because
+    the terminal set exceeded the table cap.
     """
 
     decision: bool
@@ -58,6 +63,26 @@ class Planner02Result:
     artifacts: ReductionArtifacts | None = None
     explored_states: int | None = None
     dp_table_entries: int | None = None
+    method: str = "fpt02"
+
+
+def _from_oracle(oracle: OracleResult, **fields) -> Planner02Result:
+    return Planner02Result(
+        oracle.decision,
+        oracle.witness,
+        oracle.shortest_length,
+        explored_states=oracle.explored_states,
+        **fields,
+    )
+
+
+def pick_method(instance: PlanningInstance) -> str:
+    """Name the solver for an instance: "fpt02" when no action has a
+    precondition and none has more than two effects, the fragment that
+    reduces to directed Steiner tree, and "oracle" for every other task."""
+    if all(not a.pre and len(a.eff) <= 2 for a in instance.actions):
+        return "fpt02"
+    return "oracle"
 
 
 def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
@@ -70,11 +95,6 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
     first declared first.
     """
     inst = query.instance
-    profile = detect_profile(inst)
-    if profile.max_preconditions > 0:
-        raise ValueError("reduction requires actions without preconditions")
-    if profile.max_effects > 2:
-        raise ValueError("reduction requires at most two effects per action")
     for v in inst.variables:
         if v.name == ROOT or v.name.startswith(PAIR):
             raise ValueError(
@@ -91,6 +111,10 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
         origin.setdefault(arc, []).append(action)
 
     for action in inst.actions:
+        if action.pre:
+            raise ValueError("reduction requires actions without preconditions")
+        if len(action.eff) > 2:
+            raise ValueError("reduction requires at most two effects per action")
         good, bad = [], []
         for var in action.eff:
             (good if classes.per_effect[(action.name, var)] == GOOD else bad).append(var)
@@ -165,14 +189,7 @@ def solve_02(
         return Planner02Result(False, artifacts=artifacts)
     if len(steiner.terminals) > dp_cap:
         oracle = decide_bfs(query, max_states=max_states)
-        return Planner02Result(
-            oracle.decision,
-            oracle.witness,
-            oracle.shortest_length,
-            fallback=True,
-            artifacts=artifacts,
-            explored_states=oracle.explored_states,
-        )
+        return _from_oracle(oracle, fallback=True, artifacts=artifacts)
 
     stats: dict = {}
     solution = solve_dst(steiner, stats_out=stats)
@@ -190,3 +207,21 @@ def solve_02(
     return Planner02Result(
         True, witness, len(witness), artifacts=artifacts, dp_table_entries=entries
     )
+
+
+def solve(
+    query: BoundedQuery, method: str = "auto", max_states: int = DEFAULT_MAX_STATES
+) -> Planner02Result:
+    """Decide bounded plan existence for any task with the named method.
+
+    "auto" takes pick_method's choice; "fpt02" runs solve_02 and raises
+    ValueError outside its fragment; "oracle" runs the breadth-first search.
+    Both raise ResourceLimitError once max_states is exhausted.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    if method == "auto":
+        method = pick_method(query.instance)
+    if method == "fpt02":
+        return solve_02(query, max_states=max_states)
+    return _from_oracle(decide_bfs(query, max_states=max_states), method="oracle")

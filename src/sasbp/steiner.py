@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 INFINITY = math.inf
@@ -36,7 +37,7 @@ class SteinerInstance:
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node names")
-        index = {name: i for i, name in enumerate(self.nodes)}
+        index = self.index
         if self.root not in index:
             raise ValueError(f"root {self.root!r} is not a node")
         for t in self.terminals:
@@ -51,7 +52,7 @@ class SteinerInstance:
         seen = sorted(set(self.terminals), key=index.__getitem__)
         object.__setattr__(self, "terminals", tuple(seen))
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.nodes)}
 

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import random
+from collections import deque
 
 from sasbp.core import (
     EMPTY_STATE,
@@ -10,6 +11,7 @@ from sasbp.core import (
     PlanningInstance,
     Variable,
 )
+from sasbp.oracle import DEFAULT_MAX_STATES, ResourceLimitError, _compiled
 from sasbp.steiner import (
     INFINITY,
     SteinerInstance,
@@ -95,6 +97,46 @@ def reaches_all(root, terminals, arcs) -> bool:
                 frontier.append(head)
     return all(t in seen for t in terminals)
 
+
+def enumerate_plans(
+    query: BoundedQuery, limit: int, max_sequences: int = DEFAULT_MAX_STATES
+) -> list[tuple[str, ...]]:
+    """List up to `limit` valid plans of length at most k.
+
+    Plans are ordered by length first, then lexicographically by action
+    indices.  Unlike decide_bfs this walks action sequences, not deduplicated
+    states, so it also finds plans that revisit states: a reference for the
+    order of decide_bfs's witnesses.
+    """
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    inst = query.instance
+    actions = _compiled(query)
+    goal = tuple((inst.variable_index[n], v) for n, v in inst.goal.items())
+    start = inst.encode(inst.init)
+
+    found: list[tuple[str, ...]] = []
+    queue = deque([(start, ())])
+    checked = 0
+    while queue and len(found) < limit:
+        state, seq = queue.popleft()
+        checked += 1
+        if checked > max_sequences:
+            raise ResourceLimitError(
+                f"sequence budget of {max_sequences} exhausted"
+            )
+        if all(state[i] == v for i, v in goal):
+            found.append(tuple(actions[i][0] for i in seq))
+        if len(seq) == query.k:
+            continue
+        for action_index, (_, pre, eff) in enumerate(actions):
+            if any(state[i] != v for i, v in pre):
+                continue
+            successor = list(state)
+            for i, v in eff:
+                successor[i] = v
+            queue.append((tuple(successor), seq + (action_index,)))
+    return found
 
 # Dreyfus-Wagner over all-pairs shortest paths: the dense subset DP that
 # sasbp.steiner.solve_dst replaced, kept as a reference for its answers

@@ -367,6 +367,130 @@ class TestBench:
         assert all(float(r["seconds"]) >= 0 for r in rows)
 
 
+class TestGoldenOutput:
+    """Exact stdout, plan files and exit codes, pinned so that refactoring
+    the solve path cannot change a byte of what the CLI prints."""
+
+    @pytest.mark.parametrize(
+        "text,extra,code,human,payload,plan",
+        [
+            (
+                TRADE,
+                (),
+                0,
+                "YES\nplan length: 2\nmethod: fpt02\n",
+                '{"decision": "yes", "dp_table_entries": 9, "explored_states": null, '
+                '"fallback": false, "length": 2, "method": "fpt02"}\n',
+                "trade\nfix_a\n",
+            ),
+            (
+                TRADE.replace("k 3", "k 1"),
+                (),
+                1,
+                "NO\nmethod: fpt02\n",
+                '{"decision": "no", "dp_table_entries": null, "explored_states": null, '
+                '"fallback": false, "length": null, "method": "fpt02"}\n',
+                None,
+            ),
+            (
+                GATED,
+                (),
+                0,
+                "YES\nplan length: 2\nmethod: oracle\n",
+                '{"decision": "yes", "dp_table_entries": null, "explored_states": 3, '
+                '"fallback": false, "length": 2, "method": "oracle"}\n',
+                "open\nset_x\n",
+            ),
+            (
+                TRADE,
+                ("--method", "oracle"),
+                0,
+                "YES\nplan length: 2\nmethod: oracle\n",
+                '{"decision": "yes", "dp_table_entries": null, "explored_states": 4, '
+                '"fallback": false, "length": 2, "method": "oracle"}\n',
+                "trade\nfix_a\n",
+            ),
+        ],
+        ids=["fpt02-yes", "instant-no", "oracle-yes", "forced-oracle"],
+    )
+    def test_solve(self, capsys, tmp_path, text, extra, code, human, payload, plan):
+        path = tmp_path / "task.sasbp"
+        path.write_text(text)
+        plan_path = tmp_path / "task.plan"
+        argv = ("solve", str(path), *extra, "--plan-out", str(plan_path))
+        written = f"plan written to {plan_path}\n" if plan else ""
+        assert run(capsys, *argv) == (code, human + written, "")
+        assert (plan_path.read_text() if plan_path.exists() else None) == plan
+        if plan_path.exists():
+            plan_path.unlink()
+        assert run(capsys, *argv, "--json") == (code, payload, "")
+        assert (plan_path.read_text() if plan_path.exists() else None) == plan
+
+    def test_budget_exhaustion(self, capsys, tmp_path):
+        path = tmp_path / "gated.sasbp"
+        path.write_text(GATED)
+        err = (
+            "resource limit: state budget of 2 exhausted at depth 2: "
+            "3 states expanded, 3 stored\n"
+        )
+        for extra in ((), ("--json",)):
+            assert run(capsys, "solve", str(path), "--max-states", "2", *extra) == (3, "", err)
+
+    def test_bench_rows(self, capsys, tmp_path):
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        for argv in (
+            ("or2", "--bits", "00"),
+            ("or2", "--bits", "11"),
+            ("ortree", "--bits", "0010"),
+            ("clique", "--complete"),
+            ("clique", "--empty"),
+            ("compose-pub",),
+            ("compose-02",),
+        ):
+            name = "-".join(a.strip("-") for a in argv)
+            assert run(capsys, "generate", *argv, "--out", str(pool / name))[0] == 0
+        for name, text in (("trade", TRADE), ("no", TRADE.replace("k 3", "k 1")), ("gated", GATED)):
+            (pool / f"{name}.sasbp").write_text(text)
+
+        def rows(*extra):
+            report = tmp_path / "report.csv"
+            code, out, _ = run(capsys, "bench", str(pool), "--out", str(report), *extra)
+            assert (code, out) == (0, f"benchmarked 10 instances -> {report}\n")
+            with open(report, newline="") as handle:
+                table = list(csv.reader(handle))
+            assert table[0][4] == "seconds"
+            return [",".join(row[:4] + row[5:]) for row in table]
+
+        header = "instance,method,k,decision,explored_states,dp_table_entries,terminals"
+        assert rows() == [
+            header,
+            "clique-complete.sasbp,oracle,6,YES,305,,",
+            "clique-empty.sasbp,fpt02,6,NO,,,3",
+            "compose-02.sasbp,fpt02,21,YES,,992,5",
+            "compose-pub.sasbp,oracle,14,YES,247,,",
+            "gated.sasbp,oracle,2,YES,3,,",
+            "no.sasbp,fpt02,1,NO,,,2",
+            "or2-bits-00.sasbp,oracle,6,NO,8,,",
+            "or2-bits-11.sasbp,oracle,6,YES,15,,",
+            "ortree-bits-0010.sasbp,oracle,12,YES,920,,",
+            "trade.sasbp,fpt02,3,YES,,9,2",
+        ]
+        assert rows("--max-states", "2") == [
+            header,
+            "clique-complete.sasbp,oracle,6,GAVE_UP,,,",
+            "clique-empty.sasbp,fpt02,6,NO,,,3",
+            "compose-02.sasbp,fpt02,21,YES,,992,5",
+            "compose-pub.sasbp,oracle,14,GAVE_UP,,,",
+            "gated.sasbp,oracle,2,GAVE_UP,,,",
+            "no.sasbp,fpt02,1,NO,,,2",
+            "or2-bits-00.sasbp,oracle,6,GAVE_UP,,,",
+            "or2-bits-11.sasbp,oracle,6,GAVE_UP,,,",
+            "ortree-bits-0010.sasbp,oracle,12,GAVE_UP,,,",
+            "trade.sasbp,fpt02,3,YES,,9,2",
+        ]
+
+
 class TestErrorsAndEntry:
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "nope.sasbp"))

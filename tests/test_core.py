@@ -10,7 +10,6 @@ from sasbp.core import (
     apply_action,
     is_goal_state,
     is_valid_in,
-    lint_instance,
     validate_plan,
 )
 from helpers import make_query
@@ -141,18 +140,6 @@ def test_validate_plan_failures():
     short = validate_plan(q.instance, [])
     assert not short.valid and short.failed_step is None
     assert "not a goal state" in short.reason
-
-
-def test_lint_flags_effect_free_actions():
-    q = make_query(
-        {"a": 2},
-        [("noop", {}, {}), ("set", {}, {"a": "1"})],
-        {"a": "0"},
-        {},
-        0,
-    )
-    warnings = lint_instance(q.instance)
-    assert warnings == ["action 'noop' has no effects"]
 
 
 def test_bounded_query_rejects_negative_bound():

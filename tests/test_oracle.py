@@ -4,8 +4,8 @@ import re
 import pytest
 
 from sasbp.core import validate_plan
-from sasbp.oracle import ResourceLimitError, decide_bfs, enumerate_plans
-from helpers import make_query, random_02_query
+from sasbp.oracle import ResourceLimitError, decide_bfs
+from helpers import enumerate_plans, make_query, random_02_query
 
 
 def test_yes_when_goal_holds_initially():

@@ -4,8 +4,16 @@ import pytest
 
 import sasbp.planner02 as planner02
 from sasbp.core import BoundedQuery, validate_plan
-from sasbp.oracle import decide_bfs
-from sasbp.planner02 import PAIR, ROOT, extract_plan, reduce_to_steiner, solve_02
+from sasbp.oracle import ResourceLimitError, decide_bfs
+from sasbp.planner02 import (
+    PAIR,
+    ROOT,
+    extract_plan,
+    pick_method,
+    reduce_to_steiner,
+    solve,
+    solve_02,
+)
 from sasbp.preprocess import lemma1_transform
 from sasbp.steiner import SteinerSolution, solve_dst
 from helpers import make_query, random_02_query
@@ -267,3 +275,91 @@ def test_agrees_with_search_oracle_on_random_queries():
             no += 1
             assert result.witness is None
     assert yes > 15 and no > 15 and paired > 5
+
+
+def gated_query(rng: random.Random) -> BoundedQuery:
+    """Random task outside (0, <=2): "open" sets the gate g, a1 needs g=1,
+    later actions need it with probability 0.6, and any may write three
+    variables."""
+    names = ["g"] + [f"x{i}" for i in range(1, rng.randint(2, 4) + 1)]
+    actions = [("open", {}, {"g": "1"})]
+    for i in range(rng.randint(1, 5)):
+        pre = {"g": "1"} if i == 0 or rng.random() < 0.6 else {}
+        targets = rng.sample(names[1:], rng.randint(1, min(3, len(names) - 1)))
+        actions.append((f"a{i + 1}", pre, {n: str(rng.randint(0, 1)) for n in targets}))
+    goal = {n: "1" for n in rng.sample(names[1:], rng.randint(1, len(names) - 1))}
+    return make_query(
+        {n: 2 for n in names}, actions, {n: "0" for n in names}, goal, rng.randint(0, 4)
+    )
+
+
+def gated_task(k):
+    return make_query(
+        {"g": 2, "x": 2},
+        [("open", {}, {"g": "1"}), ("set_x", {"g": "1"}, {"x": "1"})],
+        {"g": "0", "x": "0"},
+        {"x": "1"},
+        k,
+    )
+
+
+def assert_is_oracle_result(result, query):
+    oracle = decide_bfs(query)
+    assert result.decision == oracle.decision
+    assert result.witness == oracle.witness
+    assert result.plan_length == oracle.shortest_length
+    assert result.explored_states == oracle.explored_states
+    assert result.method == "oracle" and not result.fallback
+    assert result.artifacts is None and result.dp_table_entries is None
+
+
+def test_solve_matches_solve_02_and_decide_bfs():
+    rng = random.Random(4242)
+    yes = 0
+    for _ in range(200):
+        query = random_02_query(rng)
+        result = solve(query)
+        assert result == solve_02(query) and result.method == "fpt02"
+        assert_is_oracle_result(solve(query, "oracle"), query)
+        yes += result.decision
+    assert 50 < yes < 150
+    yes = 0
+    for _ in range(100):
+        query = gated_query(rng)
+        assert_is_oracle_result(solve(query), query)
+        with pytest.raises(ValueError, match="without preconditions|two effects"):
+            solve(query, "fpt02")
+        yes += solve(query).decision
+    assert 20 < yes < 80
+
+
+def test_pick_method_routes_by_the_fragment_rule():
+    def task(*actions):
+        return make_query({n: 2 for n in "abc"}, actions, {n: "0" for n in "abc"}, {"a": "1"}, 2)
+
+    assert pick_method(task().instance) == "fpt02"
+    assert pick_method(task(("ab", {}, {"a": "1", "b": "1"})).instance) == "fpt02"
+    assert pick_method(task(("abc", {}, {n: "1" for n in "abc"})).instance) == "oracle"
+    assert pick_method(gated_task(2).instance) == "oracle"
+    result = solve(gated_task(2))
+    assert result.method == "oracle" and result.witness == ("open", "set_x")
+    assert solve(chained_query(2)).method == "fpt02"
+
+
+def test_oracle_method_searches_a_02_task():
+    query = chained_query(2)
+    assert pick_method(query.instance) == "fpt02"
+    result = solve(query, method="oracle")
+    assert_is_oracle_result(result, query)
+    assert result.witness == ("ab", "c1")
+
+
+def test_unknown_method_is_rejected():
+    with pytest.raises(ValueError, match="unknown method 'steiner'"):
+        solve(chained_query(2), method="steiner")
+
+
+def test_resource_limit_propagates_from_solve():
+    for query, method in ((gated_task(2), "auto"), (chained_query(2), "oracle")):
+        with pytest.raises(ResourceLimitError, match="state budget of 1 exhausted"):
+            solve(query, method, max_states=1)
