@@ -7,8 +7,14 @@ variant), is exactly the shape of argument that rules out small kernels.
 The script builds both variants and checks them with the solvers.
 """
 
-from sasbp import compose_or_02, compose_or_pub, or_threshold, solve_02
-from sasbp.cli import _02_fixture, _pub_fixture
+from sasbp import (
+    compose_or_02,
+    compose_or_pub,
+    or_input_02,
+    or_input_pub,
+    or_threshold,
+    solve_02,
+)
 
 
 def main():
@@ -17,7 +23,7 @@ def main():
         print(f"  k={k}: up to {or_threshold(k):,}")
     print()
 
-    inputs = [_pub_fixture(2, yes) for yes in (True, False, False)]
+    inputs = [or_input_pub(2, yes) for yes in (True, False, False)]
     pub = compose_or_pub(inputs)
     inst = pub.query.instance
     print(f"flag-table variant, t=3 inputs at k=2:")
@@ -27,7 +33,7 @@ def main():
           f"through input {pub.notes['chosen_input']}")
     print()
 
-    inputs = [_02_fixture(1, yes) for yes in (True, False)]
+    inputs = [or_input_02(1, yes) for yes in (True, False)]
     two = compose_or_02(inputs)
     inst = two.query.instance
     print(f"two-effect variant, t=2 inputs at k=1:")
@@ -41,7 +47,7 @@ def main():
     print(f"  solve_02 on the composition: decision={result.decision}, "
           f"plan length {result.plan_length}")
 
-    allno = compose_or_02([_02_fixture(1, False), _02_fixture(1, False)])
+    allno = compose_or_02([or_input_02(1, False), or_input_02(1, False)])
     print(f"  all-NO variant: {allno.ground_truth}, "
           f"solver says {solve_02(allno.query).decision}")
 

@@ -14,6 +14,7 @@ from .core import (
     BoundedQuery,
     PartialState,
     PlanningInstance,
+    ResourceLimitError,
     ValidationReport,
     Variable,
     apply_action,
@@ -38,9 +39,11 @@ from .gadgets import (
     gen_clique_gadget,
     gen_or2,
     gen_or_tree,
+    or_input_02,
+    or_input_pub,
     or_threshold,
 )
-from .oracle import OracleResult, ResourceLimitError, decide_bfs
+from .oracle import OracleResult, decide_bfs
 from .planner02 import (
     Planner02Result,
     ReductionArtifacts,
@@ -111,6 +114,8 @@ __all__ = [
     "lookup_complexity",
     "lookup_pe",
     "lookup_pubs",
+    "or_input_02",
+    "or_input_pub",
     "or_threshold",
     "parse_instance",
     "parse_plan",

@@ -21,15 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from .core import (
-    EMPTY_STATE,
-    Action,
-    BoundedQuery,
-    PartialState,
-    PlanningInstance,
-    Variable,
-    validate_plan,
-)
+from .core import BoundedQuery, ResourceLimitError, validate_plan
 from .fileformat import (
     FormatError,
     parse_instance,
@@ -40,16 +32,16 @@ from .fileformat import (
     write_steiner,
 )
 from .gadgets import (
-    BINARY,
-    GadgetOutput,
     MulticoloredGraph,
     compose_or_02,
     compose_or_pub,
     gen_clique_gadget,
     gen_or2,
     gen_or_tree,
+    or_input_02,
+    or_input_pub,
 )
-from .oracle import DEFAULT_MAX_STATES, ResourceLimitError
+from .oracle import DEFAULT_MAX_STATES
 from .planner02 import METHODS, pick_method, reduce_to_steiner, solve
 from .restrictions import detect_profile, lookup_complexity
 from .steiner import solve_dst
@@ -190,61 +182,6 @@ def cmd_steiner_solve(args) -> int:
     return EXIT_YES
 
 
-def _pub_fixture(k: int, yes: bool) -> GadgetOutput:
-    """Postunique unary Boolean input for the OR composition.
-
-    The YES shape needs k - 1 steps, one below its bound, so its witness
-    plus the selector step always fits the composed bound.
-    """
-    if yes:
-        m = k - 1
-        variables = tuple(Variable(f"x{j}", BINARY) for j in range(1, m + 1))
-        actions = tuple(
-            Action(f"set{j}", EMPTY_STATE, PartialState({f"x{j}": "1"}))
-            for j in range(1, m + 1)
-        )
-        inst = PlanningInstance(
-            variables=variables,
-            actions=actions,
-            init=PartialState({v.name: "0" for v in variables}),
-            goal=PartialState({v.name: "1" for v in variables}),
-        )
-        witness = tuple(f"set{j}" for j in range(1, m + 1))
-        return GadgetOutput(BoundedQuery(inst, k), "yes", witness=witness)
-    inst = PlanningInstance(
-        variables=(Variable("y", BINARY),),
-        actions=(),
-        init=PartialState({"y": "0"}),
-        goal=PartialState({"y": "1"}),
-    )
-    return GadgetOutput(BoundedQuery(inst, k), "no")
-
-
-def _02_fixture(k: int, yes: bool) -> GadgetOutput:
-    """Precondition-free single-effect input for the OR composition."""
-    if yes:
-        variables = tuple(Variable(f"z{j}", BINARY) for j in range(1, k + 1))
-        actions = tuple(
-            Action(f"zset{j}", EMPTY_STATE, PartialState({f"z{j}": "1"}))
-            for j in range(1, k + 1)
-        )
-        inst = PlanningInstance(
-            variables=variables,
-            actions=actions,
-            init=PartialState({v.name: "0" for v in variables}),
-            goal=PartialState({v.name: "1" for v in variables}),
-        )
-        witness = tuple(f"zset{j}" for j in range(1, k + 1))
-        return GadgetOutput(BoundedQuery(inst, k), "yes", witness=witness)
-    inst = PlanningInstance(
-        variables=(Variable("w", BINARY),),
-        actions=(),
-        init=PartialState({"w": "0"}),
-        goal=PartialState({"w": "1"}),
-    )
-    return GadgetOutput(BoundedQuery(inst, k), "no")
-
-
 def _parse_pattern(pattern: str, t: int) -> list[bool]:
     if len(pattern) != t or set(pattern) - {"y", "n"}:
         raise ValueError(f"pattern must be {t} characters of y/n, got {pattern!r}")
@@ -276,10 +213,10 @@ def cmd_generate(args) -> int:
         if args.k < 1:
             raise ValueError("compose-pub needs k >= 1 to leave witness slack")
         pattern = _parse_pattern(args.pattern or "y" + "n" * (args.t - 1), args.t)
-        output = compose_or_pub([_pub_fixture(args.k, yes) for yes in pattern])
+        output = compose_or_pub([or_input_pub(args.k, yes) for yes in pattern])
     else:
         pattern = _parse_pattern(args.pattern or "y" + "n" * (args.t - 1), args.t)
-        output = compose_or_02([_02_fixture(args.k, yes) for yes in pattern])
+        output = compose_or_02([or_input_02(args.k, yes) for yes in pattern])
 
     base = Path(args.out)
     # plain concatenation: with_suffix would eat dots inside the base name

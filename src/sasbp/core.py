@@ -64,6 +64,11 @@ class PartialState(Mapping):
 EMPTY_STATE = PartialState()
 
 
+class ResourceLimitError(RuntimeError):
+    """Raised when a solver exceeds its budget.  Deliberately distinct from a
+    NO answer: the question was not decided."""
+
+
 @dataclass(frozen=True)
 class Variable:
     """A state variable with a finite, ordered domain of value tokens."""

@@ -14,6 +14,7 @@ running a solver, so the outputs double as hardness gadgets:
 * compose_or_pub and compose_or_02 build an instance that is solvable
   exactly when at least one of t input instances is, for postunique unary
   Boolean inputs and for precondition-free two-effect inputs respectively.
+  or_input_pub and or_input_02 build a YES or NO input for each.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     Variable,
     validate_plan,
 )
+from .planner02 import pick_method
 from .preprocess import Lemma1Output, chain_bound, lemma1_transform, lift_plan
 from .restrictions import broken_variables, detect_profile
 
@@ -357,6 +359,37 @@ def _namespaced(prefix: str, state: PartialState) -> PartialState:
     return PartialState({f"{prefix}{var}": val for var, val in state.items()})
 
 
+def _or_input(k: int, yes: bool, setters: int, var: str, setter: str, no_var: str):
+    """OR-composition input at bound k: goal bits var1..var<setters>, each
+    with one precondition-free setter (YES), or the goal bit no_var that
+    no action writes (NO)."""
+    if yes:
+        variables = tuple(Variable(f"{var}{j}", BINARY) for j in range(1, setters + 1))
+        actions = tuple(
+            Action(f"{setter}{j}", EMPTY_STATE, PartialState({f"{var}{j}": "1"}))
+            for j in range(1, setters + 1)
+        )
+        witness = tuple(a.name for a in actions)
+    else:
+        variables, actions, witness = (Variable(no_var, BINARY),), (), None
+    inst = PlanningInstance(
+        variables=variables,
+        actions=actions,
+        init=PartialState({v.name: "0" for v in variables}),
+        goal=PartialState({v.name: "1" for v in variables}),
+    )
+    return GadgetOutput(BoundedQuery(inst, k), YES if yes else NO, witness=witness)
+
+
+def or_input_pub(k: int, yes: bool) -> GadgetOutput:
+    """Postunique unary Boolean input for compose_or_pub at bound k.
+
+    The YES shape needs k - 1 steps, one below its bound, so its witness
+    plus the selector step always fits the composed bound.
+    """
+    return _or_input(k, yes, k - 1, "x", "set", "y")
+
+
 def compose_or_pub(inputs) -> GadgetOutput:
     """OR-compose postunique unary Boolean queries sharing one bound.
 
@@ -460,6 +493,12 @@ def compose_or_pub(inputs) -> GadgetOutput:
     return GadgetOutput(query, UNKNOWN, notes=notes)
 
 
+def or_input_02(k: int, yes: bool) -> GadgetOutput:
+    """Precondition-free single-effect input for compose_or_02 at bound k;
+    the YES shape needs all k steps."""
+    return _or_input(k, yes, k, "z", "zset", "w")
+
+
 def compose_or_02(inputs) -> GadgetOutput:
     """OR-compose precondition-free two-effect queries sharing one bound.
 
@@ -482,8 +521,7 @@ def compose_or_02(inputs) -> GadgetOutput:
         raise ValueError(f"inputs must share one bound, got {sorted(bounds)}")
     k = bounds.pop()
     for idx, g in enumerate(inputs, 1):
-        profile = detect_profile(g.query.instance)
-        if profile.max_preconditions > 0 or profile.max_effects > 2:
+        if pick_method(g.query.instance) != "fpt02":
             raise ValueError(
                 f"input {idx} is not precondition-free with at most two effects"
             )

@@ -12,14 +12,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import BoundedQuery
+from .core import BoundedQuery, ResourceLimitError
 
-DEFAULT_MAX_STATES = 5_000_000
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when search exceeds its state budget.  Deliberately distinct
-    from a NO answer: the question was not decided."""
+# A stored state of a 116-variable task costs about 1.1 KB, so the default
+# budget is exhausted at a few hundred megabytes.
+DEFAULT_MAX_STATES = 500_000
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ off the tree by emitting its arc layers deepest first, with the root layer
 afterwards; weight-0 arcs emit nothing.
 
 solve() is the entry point for any task: pick_method routes the (0, <=2)
-fragment here and everything else to the search oracle.
+fragment here and everything else to the search oracle.  A (0, <=2) task
+never goes to the oracle: when more than steiner.MAX_TABLE_TERMINALS
+terminals remain after solve_dst's presolve, the solve raises
+ResourceLimitError instead.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BoundedQuery, PlanningInstance, validate_plan
-from .oracle import DEFAULT_MAX_STATES, OracleResult, decide_bfs
+from .oracle import DEFAULT_MAX_STATES, decide_bfs
 from .restrictions import GOOD, broken_variables, classify_effects
 from .steiner import SteinerInstance, SteinerSolution, extract_arborescence, solve_dst
 
 ROOT = "__root"
 PAIR = "__pair"
-DEFAULT_DP_CAP = 18
 METHODS = ("auto", "oracle", "fpt02")
 
 
@@ -52,8 +54,8 @@ class Planner02Result:
     """Decision plus, on YES, a shortest witness for the queried instance.
 
     method names the solver that was asked for, "fpt02" or "oracle".
-    fallback marks fpt02 decisions delegated to the search oracle because
-    the terminal set exceeded the table cap.
+    fallback is always False, since no decision is handed to another
+    solver; the field stays so that existing readers of it keep working.
     """
 
     decision: bool
@@ -64,16 +66,6 @@ class Planner02Result:
     explored_states: int | None = None
     dp_table_entries: int | None = None
     method: str = "fpt02"
-
-
-def _from_oracle(oracle: OracleResult, **fields) -> Planner02Result:
-    return Planner02Result(
-        oracle.decision,
-        oracle.witness,
-        oracle.shortest_length,
-        explored_states=oracle.explored_states,
-        **fields,
-    )
 
 
 def pick_method(instance: PlanningInstance) -> str:
@@ -168,28 +160,21 @@ def extract_plan(
     )
 
 
-def solve_02(
-    query: BoundedQuery,
-    dp_cap: int = DEFAULT_DP_CAP,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> Planner02Result:
+def solve_02(query: BoundedQuery) -> Planner02Result:
     """Decide bounded plan existence for a (0, <=2) task.
 
     Reduces the task to a Steiner instance at the same bound and solves it
     exactly.  One step settles at most one terminal, or two through a pair
-    node, so a larger terminal set is an outright NO; when the terminal set
-    is larger than dp_cap the subset table would be too big and the decision
-    falls back to the search oracle.  On YES the witness is a shortest plan,
-    re-validated against the query before returning.
+    node, so a larger terminal set is an outright NO.  solve_dst raises
+    ResourceLimitError when more terminals than its table takes remain after
+    its presolve.  On YES the witness is a shortest plan, re-validated
+    against the query before returning.
     """
     artifacts = reduce_to_steiner(query)
     steiner = artifacts.steiner
     per_step = 2 if 0 in steiner.weights.values() else 1
     if len(steiner.terminals) > per_step * query.k:
         return Planner02Result(False, artifacts=artifacts)
-    if len(steiner.terminals) > dp_cap:
-        oracle = decide_bfs(query, max_states=max_states)
-        return _from_oracle(oracle, fallback=True, artifacts=artifacts)
 
     stats: dict = {}
     solution = solve_dst(steiner, stats_out=stats)
@@ -215,13 +200,21 @@ def solve(
     """Decide bounded plan existence for any task with the named method.
 
     "auto" takes pick_method's choice; "fpt02" runs solve_02 and raises
-    ValueError outside its fragment; "oracle" runs the breadth-first search.
-    Both raise ResourceLimitError once max_states is exhausted.
+    ValueError outside its fragment; "oracle" runs the breadth-first search,
+    the only one max_states bounds.  Both raise ResourceLimitError when
+    their limit is hit.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     if method == "auto":
         method = pick_method(query.instance)
     if method == "fpt02":
-        return solve_02(query, max_states=max_states)
-    return _from_oracle(decide_bfs(query, max_states=max_states), method="oracle")
+        return solve_02(query)
+    oracle = decide_bfs(query, max_states=max_states)
+    return Planner02Result(
+        oracle.decision,
+        oracle.witness,
+        oracle.shortest_length,
+        explored_states=oracle.explored_states,
+        method="oracle",
+    )

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .core import Action, BoundedQuery, PartialState, PlanningInstance, Variable
-from .restrictions import GOOD, MIXED, classify_effects, detect_profile, strip_bad_actions
+from .planner02 import pick_method
+from .restrictions import GOOD, MIXED, classify_effects, strip_bad_actions
 
 G_VAR = "__g"
 G_RESET = "__ag"
@@ -64,11 +65,11 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
     Rejects instances with preconditions, more than two effects per action,
     or reserved double-underscore names.
     """
-    profile = detect_profile(query.instance)
-    if profile.max_preconditions > 0:
-        raise ValueError("chain transform requires actions without preconditions")
-    if profile.max_effects > 2:
-        raise ValueError("chain transform requires at most two effects per action")
+    if pick_method(query.instance) != "fpt02":
+        raise ValueError(
+            "chain transform requires actions without preconditions "
+            "and with at most two effects"
+        )
     for v in query.instance.variables:
         if v.name.startswith("__"):
             raise ValueError(f"variable {v.name!r} uses the reserved __ prefix")

@@ -5,12 +5,17 @@ are infinite), a root, a terminal set and a bound.  A solution is an arc set of
 minimum total weight that reaches every terminal from the root, pruned to an
 out-arborescence; None is returned when the minimum exceeds the bound.
 
-solve_dst runs a subset dynamic program over terminal sets on the sparse arc
-list: the cheapest tree hanging off a node either follows one arc down or
-splits its terminal set there, so each terminal set takes one Dijkstra
-seeded with the split costs, and weights above the bound are dropped
-(Erickson, Monma and Veinott 1987).  brute_dst is an independent brute-force
-reference over small arc subsets used to cross-check the dynamic program.
+solve_dst first presolves: a sink terminal with a single in-arc from a
+node the root reaches takes that arc in every tree, so the arc is forced
+and its tail becomes a terminal in its place.  It then runs a subset
+dynamic program over the remaining terminal sets on the sparse arc list:
+the cheapest tree hanging off a node either follows one arc down or splits
+its terminal set there, so each terminal set takes one Dijkstra seeded with
+the split costs, and weights above the bound are dropped (Erickson, Monma
+and Veinott 1987).  The table has 2^t rows for t remaining terminals, so
+more than MAX_TABLE_TERMINALS of them raise ResourceLimitError.  brute_dst
+is an independent brute-force reference over small arc subsets used to
+cross-check the dynamic program.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
+from .core import ResourceLimitError
+
 INFINITY = math.inf
+MAX_TABLE_TERMINALS = 18
 
 
 @dataclass(frozen=True)
@@ -129,63 +137,124 @@ def _descend(into, seeds: dict[int, int], bound: int):
     return [INFINITY if x is None else x[0] for x in label], hop
 
 
+def _reachable(out: list[list[int]], root: int) -> list[bool]:
+    seen = [False] * len(out)
+    seen[root] = True
+    stack = [root]
+    while stack:
+        for v in out[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
+
+
+def _presolve(inst: SteinerInstance, into, out):
+    """Apply the degree test for sink terminals (Duin and Volgenant 1989).
+
+    into holds live in-arcs only, those whose tail the root reaches.  A
+    terminal without one is a NO, returned as None.  A terminal without
+    out-arcs and with exactly one live in-arc (u, t) has that arc in every
+    tree, and no tree passes through it, so the arc is forced: t leaves the
+    terminal set and u joins it unless u is the root.  A new terminal u has
+    the out-arc (u, t), so forcing never makes another sink and one pass
+    suffices.  Returns the remaining terminal indices in declaration order
+    and the forced arcs as (tail, head, weight).
+    """
+    root = inst.index[inst.root]
+    remaining: set[int] = set()
+    forced: list[tuple[int, int, int]] = []
+    for t in (inst.index[name] for name in inst.terminals):
+        if t == root:
+            continue
+        if not into[t]:
+            return None
+        if not out[t] and len(into[t]) == 1:
+            u, w = into[t][0]
+            forced.append((u, t, w))
+            if u != root:
+                remaining.add(u)
+        else:
+            remaining.add(t)
+    return sorted(remaining), forced
+
+
 def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSolution | None:
     """Minimum-weight directed Steiner tree within the bound, or None.
 
-    Table f[S][v] is the cheapest weight, within the bound, of a tree rooted
-    at v covering terminal subset S.  A singleton row is a Dijkstra from its
-    terminal.  A larger subset first splits in two at the nodes where a tree
-    can branch (out-degree two or more, or a terminal of S) and that reach
-    all of S; a Dijkstra from those split costs then carries the subtree
-    back along single arcs.  A terminal beyond the bound from the root is a
-    NO before any larger subset is tabled.  Reconstruction follows the
-    recorded next hops and splits, so equal-weight ties resolve
-    deterministically by node declaration order.
+    After the presolve (see _presolve), table f[S][v] is the cheapest
+    weight, within the bound left after the forced arcs, of a tree rooted
+    at v covering subset S of the remaining terminals.  A singleton row is a
+    Dijkstra from its terminal.  A larger subset first splits in two at the
+    nodes where a tree can branch (out-degree two or more, or a terminal of
+    S) and that reach all of S; a Dijkstra from those split costs then
+    carries the subtree back along single arcs.  A terminal beyond the bound
+    from the root is a NO before any larger subset is tabled, and before
+    the terminal count is checked against MAX_TABLE_TERMINALS.
+    Reconstruction follows the recorded next hops and splits, so
+    equal-weight ties resolve deterministically by node declaration order,
+    and adds the forced arcs back.  Raises ResourceLimitError when more than
+    MAX_TABLE_TERMINALS terminals remain.
     """
-    terminals = inst.terminals
-    if not terminals:
-        return SteinerSolution((), 0) if inst.bound >= 0 else None
-    min_w = inst.min_finite_weight()
-    if min_w is None:
-        return None
-    if len(terminals) * min_w > inst.bound:
-        # Each terminal needs a distinct incoming arc.
-        return None
-
     n = len(inst.nodes)
     index = inst.index
-    bound = inst.bound
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    out_degree = [0] * n
-    for (u, v), w in inst.weights.items():
-        into[index[v]].append((index[u], w))
-        out_degree[index[u]] += 1
     root = index[inst.root]
-    t_idx = [index[t] for t in terminals]
-    full = (1 << len(t_idx)) - 1
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v in inst.weights:
+        out[index[u]].append(index[v])
+    live = _reachable(out, root)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), w in inst.weights.items():
+        if live[index[u]]:
+            into[index[v]].append((index[u], w))
 
-    f: list = [None] * (full + 1)
-    hops: list = [None] * (full + 1)
-    splits: list = [None] * (full + 1)
+    presolved = _presolve(inst, into, out)
+    if presolved is None:
+        return None
+    t_idx, forced = presolved
+    forced_weight = sum(w for _, _, w in forced)
+    bound = inst.bound - forced_weight
+    if stats_out is not None:
+        stats_out["forced"] = len(forced)
+        stats_out["terminals"] = len(t_idx)
+    if bound < 0:
+        return None
+    forced_arcs = [(inst.nodes[u], inst.nodes[t]) for u, t, _ in forced]
+    if not t_idx:
+        return SteinerSolution(tuple(_prune_to_arborescence(inst, forced_arcs)), forced_weight)
+    if len(t_idx) * inst.min_finite_weight() > bound:
+        # Each remaining terminal needs a distinct incoming arc.
+        return None
+    full = (1 << len(t_idx)) - 1
+    rows = [_descend(into, {t: 0}, bound) for t in t_idx]
     reach = [0] * n
     t_mask = [0] * n
-    for bit, t in enumerate(t_idx):
-        t_mask[t] |= 1 << bit
-        f[1 << bit], hops[1 << bit] = _descend(into, {t: 0}, bound)
-        for v, value in enumerate(f[1 << bit]):
+    for bit, (t, (row, _)) in enumerate(zip(t_idx, rows)):
+        t_mask[t] = 1 << bit
+        for v, value in enumerate(row):
             if value <= bound:
                 reach[v] |= 1 << bit
     if reach[root] != full:
         # Some terminal lies beyond the bound from the root.
         return None
+    if len(t_idx) > MAX_TABLE_TERMINALS:
+        raise ResourceLimitError(
+            f"{len(t_idx)} terminals remain after presolve; the subset table "
+            f"takes at most {MAX_TABLE_TERMINALS}"
+        )
 
-    forks = [u for u in range(n) if out_degree[u] >= 2 or t_mask[u]]
+    f: list = [None] * (full + 1)
+    hops: list = [None] * (full + 1)
+    splits: list = [None] * (full + 1)
+    for bit, (row, hop) in enumerate(rows):
+        f[1 << bit], hops[1 << bit] = row, hop
+    forks = [u for u in range(n) if len(out[u]) >= 2 or t_mask[u]]
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
             continue
         low = mask & -mask
         branch = [u for u in forks if reach[u] & mask == mask
-                  and (out_degree[u] >= 2 or t_mask[u] & mask)]
+                  and (len(out[u]) >= 2 or t_mask[u] & mask)]
         halves = []
         sub = (mask - 1) & mask
         while sub:
@@ -205,13 +274,12 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
         splits[mask] = split
     if stats_out is not None:
         stats_out["table_entries"] = full * n
-        stats_out["terminals"] = len(t_idx)
 
     best = f[full][root]
     if best > bound:
         return None
 
-    arcs = set()
+    arcs = set(forced_arcs)
     stack = [(full, root)]
     while stack:
         mask, v = stack.pop()
@@ -224,9 +292,10 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
             stack += [(sub, v), (mask ^ sub, v)]
     kept = _prune_to_arborescence(inst, arcs)
     weight = sum(inst.weights[a] for a in kept)
-    if weight != best:
+    if weight != best + forced_weight:
         raise RuntimeError(
-            f"reconstructed tree weighs {weight}, the table optimum is {best}"
+            f"reconstructed tree weighs {weight}, the table optimum {best} "
+            f"plus the forced weight {forced_weight} is {best + forced_weight}"
         )
     return SteinerSolution(tuple(kept), weight)
 

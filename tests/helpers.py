@@ -82,6 +82,22 @@ def random_02_query(
     return BoundedQuery(inst, rng.randint(0, max_k))
 
 
+def chain_query(n: int) -> BoundedQuery:
+    """Goal x_1..x_n = 1 at k = n: g_i sets x_i, and m_i sets x_i while it
+    breaks x_{i+1}.  Every x_i is a terminal, and no sink terminal has a
+    single in-arc, so the Steiner presolve forces nothing."""
+    names = [f"x{i}" for i in range(1, n + 1)]
+    actions = [(f"g{i}", {}, {f"x{i}": "1"}) for i in range(1, n + 1)]
+    actions += [(f"m{i}", {}, {f"x{i}": "1", f"x{i + 1}": "0"}) for i in range(1, n)]
+    return make_query(
+        {name: 2 for name in names},
+        actions,
+        {name: "0" for name in names},
+        {name: "1" for name in names},
+        n,
+    )
+
+
 def reaches_all(root, terminals, arcs) -> bool:
     """BFS feasibility check used to audit Steiner solutions in tests."""
     adjacent = {}

@@ -14,7 +14,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from sasbp.cli import _02_fixture, _pub_fixture, main
+from sasbp.cli import main
 from sasbp.core import BoundedQuery, validate_plan
 from sasbp.fileformat import parse_instance, write_instance
 from sasbp.gadgets import (
@@ -25,6 +25,8 @@ from sasbp.gadgets import (
     gen_clique_gadget,
     gen_or2,
     gen_or_tree,
+    or_input_02,
+    or_input_pub,
     or_threshold,
 )
 from sasbp.oracle import decide_bfs
@@ -219,14 +221,14 @@ def test_criterion_07_or_tree_bound():
 @criterion(8, "OR compositions emit the right bounds and checkable witnesses")
 def test_criterion_08_composition_arithmetic():
     pub = compose_or_pub(
-        [_pub_fixture(2, True), _pub_fixture(2, False), _pub_fixture(2, False)]
+        [or_input_pub(2, True), or_input_pub(2, False), or_input_pub(2, False)]
     )
     assert pub.query.k == 14
     assert pub.ground_truth == YES and pub.witness is not None
     assert len(pub.witness) <= pub.query.k
     assert validate_plan(pub.query.instance, pub.witness).valid
 
-    two = compose_or_02([_02_fixture(1, True), _02_fixture(1, False)])
+    two = compose_or_02([or_input_02(1, True), or_input_02(1, False)])
     assert two.query.k == 21
     assert two.ground_truth == YES and two.witness is not None
     assert len(two.witness) <= two.query.k
@@ -272,9 +274,9 @@ def test_criterion_10_round_trip_determinism():
     generated.append(gen_clique_gadget(MulticoloredGraph.empty(2, 1)))
     generated.append(gen_clique_gadget(MulticoloredGraph.random(3, 2, 0.4, rng=4)))
     generated.append(
-        compose_or_pub([_pub_fixture(2, True), _pub_fixture(2, False), _pub_fixture(2, False)])
+        compose_or_pub([or_input_pub(2, True), or_input_pub(2, False), or_input_pub(2, False)])
     )
-    generated.append(compose_or_02([_02_fixture(1, True), _02_fixture(1, False)]))
+    generated.append(compose_or_02([or_input_02(1, True), or_input_02(1, False)]))
     for out in generated:
         text = write_instance(out.query)
         assert parse_instance(text, allow_reserved=True) == out.query

@@ -10,6 +10,8 @@ import pytest
 
 import sasbp
 from sasbp.cli import main
+from sasbp.fileformat import write_instance
+from helpers import chain_query
 
 TRADE = """\
 SASBP 1
@@ -162,6 +164,21 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path), "--max-states", "2")
         assert code == 3
         assert "resource limit:" in err
+
+    def test_too_many_terminals_exits_three(self, capsys, tmp_path):
+        # 19 terminals remain after the presolve; both the planning and the
+        # Steiner front end give up with exit 3 instead of searching
+        path = tmp_path / "chain.sasbp"
+        path.write_text(write_instance(chain_query(19)))
+        steiner = tmp_path / "chain.stp"
+        for argv in (("solve", str(path)), ("solve", str(path), "--method", "fpt02")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert "resource limit: 19 terminals remain" in err
+        assert run(capsys, "to-steiner", str(path), "--out", str(steiner))[0] == 0
+        code, out, err = run(capsys, "steiner", "solve", str(steiner))
+        assert (code, out) == (3, "")
+        assert "resource limit: 19 terminals remain" in err
 
     def test_repeated_runs_are_byte_identical(self, capsys, trade_file):
         first = run(capsys, "solve", trade_file, "--json")
@@ -379,7 +396,7 @@ class TestGoldenOutput:
                 (),
                 0,
                 "YES\nplan length: 2\nmethod: fpt02\n",
-                '{"decision": "yes", "dp_table_entries": 9, "explored_states": null, '
+                '{"decision": "yes", "dp_table_entries": 3, "explored_states": null, '
                 '"fallback": false, "length": 2, "method": "fpt02"}\n',
                 "trade\nfix_a\n",
             ),
@@ -467,27 +484,27 @@ class TestGoldenOutput:
             header,
             "clique-complete.sasbp,oracle,6,YES,305,,",
             "clique-empty.sasbp,fpt02,6,NO,,,3",
-            "compose-02.sasbp,fpt02,21,YES,,992,5",
+            "compose-02.sasbp,fpt02,21,YES,,32,5",
             "compose-pub.sasbp,oracle,14,YES,247,,",
             "gated.sasbp,oracle,2,YES,3,,",
             "no.sasbp,fpt02,1,NO,,,2",
             "or2-bits-00.sasbp,oracle,6,NO,8,,",
             "or2-bits-11.sasbp,oracle,6,YES,15,,",
             "ortree-bits-0010.sasbp,oracle,12,YES,920,,",
-            "trade.sasbp,fpt02,3,YES,,9,2",
+            "trade.sasbp,fpt02,3,YES,,3,2",
         ]
         assert rows("--max-states", "2") == [
             header,
             "clique-complete.sasbp,oracle,6,GAVE_UP,,,",
             "clique-empty.sasbp,fpt02,6,NO,,,3",
-            "compose-02.sasbp,fpt02,21,YES,,992,5",
+            "compose-02.sasbp,fpt02,21,YES,,32,5",
             "compose-pub.sasbp,oracle,14,GAVE_UP,,,",
             "gated.sasbp,oracle,2,GAVE_UP,,,",
             "no.sasbp,fpt02,1,NO,,,2",
             "or2-bits-00.sasbp,oracle,6,GAVE_UP,,,",
             "or2-bits-11.sasbp,oracle,6,GAVE_UP,,,",
             "ortree-bits-0010.sasbp,oracle,12,GAVE_UP,,,",
-            "trade.sasbp,fpt02,3,YES,,9,2",
+            "trade.sasbp,fpt02,3,YES,,3,2",
         ]
 
 

@@ -13,11 +13,13 @@ from sasbp.gadgets import (
     gen_clique_gadget,
     gen_or2,
     gen_or_tree,
+    or_input_02,
     or_threshold,
 )
 from sasbp.core import validate_plan
 from sasbp.oracle import decide_bfs
-from sasbp.planner02 import DEFAULT_DP_CAP, solve_02
+from sasbp.planner02 import solve_02
+from sasbp.steiner import MAX_TABLE_TERMINALS
 from sasbp.restrictions import GOOD, classify_effects, detect_profile
 from helpers import make_query
 
@@ -329,9 +331,26 @@ class TestComposeOr02:
         assert out.ground_truth == NO
         result = solve_02(out.query)
         terminals = result.artifacts.steiner.terminals
-        assert 2 <= len(terminals) <= min(DEFAULT_DP_CAP, out.query.k)
+        assert 2 <= len(terminals) <= min(MAX_TABLE_TERMINALS, out.query.k)
         assert not result.decision and not result.fallback
         assert result.dp_table_entries is None
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_high_rungs_are_solved_exactly(self, k):
+        # 19 (k=3) or 29 (k=4) terminals before the presolve; forcing the
+        # single in-arc of each sink leaves a table small enough to solve
+        for t in (2, 3, 4):
+            middle = "n" * (t // 2) + "y" + "n" * (t - t // 2 - 1)
+            lengths = set()
+            for pattern in dict.fromkeys(("y" + "n" * (t - 1), "n" * (t - 1) + "y", middle, "n" * t)):
+                out = compose_or_02([or_input_02(k, c == "y") for c in pattern])
+                result = solve_02(out.query)
+                assert result.decision == (out.ground_truth == YES), pattern
+                if result.decision:
+                    assert validate_plan(out.query.instance, result.witness).valid
+                    assert result.plan_length == len(result.witness) <= out.query.k
+                    lengths.add(result.plan_length)
+            assert len(lengths) == 1, (t, lengths)
 
     def test_yes_without_witness_still_propagates(self):
         silent = GadgetOutput(q02_yes().query, YES)

@@ -16,7 +16,7 @@ from sasbp.planner02 import (
 )
 from sasbp.preprocess import lemma1_transform
 from sasbp.steiner import SteinerSolution, solve_dst
-from helpers import make_query, random_02_query
+from helpers import chain_query, make_query, random_02_query
 
 
 def repair_query(k):
@@ -110,7 +110,9 @@ def test_solve_no_below_bound():
     result = solve_02(repair_query(2))
     assert not result.decision
     assert result.witness is None and result.plan_length is None
-    assert result.dp_table_entries is not None
+    # a and b are sinks with one in-arc each; forcing both leaves c at
+    # bound 0, so the presolve answers before any table is built
+    assert result.dp_table_entries is None
 
 
 def test_more_broken_variables_than_bound_is_an_instant_no():
@@ -123,19 +125,20 @@ def test_more_broken_variables_than_bound_is_an_instant_no():
     assert len(result.artifacts.steiner.terminals) == 2
 
 
-def test_fallback_when_terminals_exceed_the_table_cap():
-    q = make_query(
-        {"a": 2, "b": 2},
-        [("set_a", {}, {"a": "1"}), ("set_b", {}, {"b": "1"})],
-        {"a": "0", "b": "0"},
-        {"a": "1", "b": "1"},
-        2,
-    )
-    result = solve_02(q, dp_cap=1)
-    assert result.decision and result.fallback
-    assert result.witness == ("set_a", "set_b")
-    assert result.explored_states is not None
-    assert result.dp_table_entries is None
+def test_too_many_terminals_after_presolve_is_a_resource_limit():
+    # 19 terminals, none of them a sink with a single in-arc: the subset
+    # table would need 2^19 rows, so the solve gives up instead of searching
+    query = chain_query(19)
+    assert len(reduce_to_steiner(query).steiner.terminals) == 19
+    with pytest.raises(ResourceLimitError, match="19 terminals remain"):
+        solve_02(query)
+    with pytest.raises(ResourceLimitError, match="19 terminals remain"):
+        solve(query)
+    # the same shape with few terminals is solved exactly
+    small = chain_query(4)
+    result = solve_02(small)
+    assert result.decision and not result.fallback
+    assert result.plan_length == decide_bfs(small).shortest_length == 4
 
 
 def chained_query(k):

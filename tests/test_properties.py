@@ -24,18 +24,27 @@ def small_steiner(draw) -> SteinerInstance:
     return SteinerInstance(nodes, weights, nodes[0], tuple(terminals), bound)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(small_steiner())
-def test_steiner_dp_agrees_with_brute_force(inst):
-    fast = solve_dst(inst)
-    slow = brute_dst(inst)
-    assert (fast is None) == (slow is None)
-    if fast is None:
-        return
-    assert fast.total_weight == slow.total_weight <= inst.bound
-    assert fast.total_weight == sum(inst.weights[arc] for arc in fast.arcs)
-    assert reaches_all(inst.root, inst.terminals, fast.arcs)
-    # an out-arborescence: one arc into each non-root node, each tail reached
-    heads = [head for _, head in fast.arcs]
-    assert len(heads) == len(set(heads)) and inst.root not in heads
-    assert all(tail == inst.root or tail in heads for tail, _ in fast.arcs)
+def test_steiner_dp_agrees_with_brute_force():
+    forced = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(small_steiner())
+    def check(inst):
+        stats = {}
+        fast = solve_dst(inst, stats_out=stats)
+        slow = brute_dst(inst)
+        forced.append(stats.get("forced", 0))
+        assert (fast is None) == (slow is None)
+        if fast is None:
+            return
+        assert fast.total_weight == slow.total_weight <= inst.bound
+        assert fast.total_weight == sum(inst.weights[arc] for arc in fast.arcs)
+        assert reaches_all(inst.root, inst.terminals, fast.arcs)
+        # an out-arborescence: one arc into each non-root node, each tail reached
+        heads = [head for _, head in fast.arcs]
+        assert len(heads) == len(set(heads)) and inst.root not in heads
+        assert all(tail == inst.root or tail in heads for tail, _ in fast.arcs)
+
+    check()
+    # the presolve's forcing rule was exercised, not only the table
+    assert sum(1 for n in forced if n) >= 10, forced

@@ -19,3 +19,31 @@ def test_no_assert_statements_in_the_package():
     ]
     assert len(list(SRC.glob("*.py"))) > 5
     assert found == []
+
+
+def _private_imports(path: Path, in_package: bool) -> list[str]:
+    """Underscore-prefixed names that a file imports from a sasbp module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not (node.level and in_package or module == "sasbp" or module.startswith("sasbp.")):
+            continue
+        found += [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    return found
+
+
+def test_package_and_demos_import_only_public_names():
+    # Private helpers are free to change; code that ships with the package
+    # uses the public API.  Tests may reach into private helpers.
+    demos = SRC.parent.parent / "demos"
+    files = [(p, True) for p in sorted(SRC.glob("*.py"))]
+    files += [(p, False) for p in sorted(demos.glob("*.py"))]
+    assert len(files) > 10
+    found = [name for path, in_package in files for name in _private_imports(path, in_package)]
+    assert found == []

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sasbp.core import ResourceLimitError
 from sasbp.planner02 import PAIR, reduce_to_steiner
 from sasbp.steiner import (
     SteinerInstance,
@@ -129,6 +130,24 @@ def test_early_no_when_a_terminal_is_out_of_reach():
     assert stats["table_entries"] == 4
 
 
+def test_terminal_limit_after_presolve():
+    # 19 terminals, each with two in-arcs, so the presolve forces nothing;
+    # t19's in-arcs hang 19 below the root
+    terms = tuple(f"t{i}" for i in range(1, 20))
+    weights = {("r", "a"): 0, ("r", "p"): 19, ("r", "q"): 19}
+    for t in terms[:-1]:
+        weights[("r", t)] = weights[("a", t)] = 1
+    weights[("p", "t19")] = weights[("q", "t19")] = 1
+    nodes = ("r", "a", "p", "q") + terms
+
+    far = SteinerInstance(nodes, weights, "r", terms, 19)
+    stats = {}
+    assert solve_dst(far, stats_out=stats) is None  # t19 is 20 away
+    assert stats["forced"] == 0 and stats["terminals"] == 19
+    with pytest.raises(ResourceLimitError, match="19 terminals remain"):
+        solve_dst(SteinerInstance(nodes, weights, "r", terms, 38))
+
+
 def test_early_exit_when_terminals_exceed_budget():
     # three terminals, all arcs weight 2, bound 5 < 3 * 2
     inst = SteinerInstance(
@@ -149,6 +168,50 @@ def test_stats_reported():
     assert solution is not None
     assert stats["terminals"] == 2
     assert stats["table_entries"] == 3 * 5  # (2^2 - 1) masks times 5 nodes
+
+
+def test_single_in_arc_sinks_collapse_onto_their_parents():
+    # A spine r -> v1 -> v2 -> v3 with a free shortcut r -> v3, and one sink
+    # leaf per spine node.  Each leaf has a single in-arc, so the presolve forces
+    # all three leaf arcs (weight 4) and tables only the spine.
+    inst = SteinerInstance(
+        nodes=("r", "v1", "v2", "v3", "l1", "l2", "l3"),
+        weights={
+            ("r", "v1"): 1,
+            ("v1", "v2"): 1,
+            ("v2", "v3"): 1,
+            ("r", "v3"): 0,
+            ("v1", "l1"): 1,
+            ("v2", "l2"): 1,
+            ("v3", "l3"): 2,
+        },
+        root="r",
+        terminals=("l1", "l2", "l3"),
+        bound=6,
+    )
+    stats = {}
+    solution = solve_dst(inst, stats_out=stats)
+    assert stats["forced"] == 3 and stats["terminals"] == 3
+    assert solution == brute_dst(inst)
+    assert solution.total_weight == 6
+    assert {("v1", "l1"), ("v2", "l2"), ("v3", "l3"), ("r", "v3")} <= set(solution.arcs)
+    tight = SteinerInstance(inst.nodes, dict(inst.weights), "r", inst.terminals, 5)
+    assert solve_dst(tight) is None and brute_dst(tight) is None
+    # below the forced weight the presolve alone answers
+    stats = {}
+    hopeless = SteinerInstance(inst.nodes, dict(inst.weights), "r", inst.terminals, 3)
+    assert solve_dst(hopeless, stats_out=stats) is None
+    assert "table_entries" not in stats
+
+
+def test_forced_arcs_alone_can_make_the_tree():
+    # every terminal hangs off the root by its only in-arc: no table at all
+    star = SteinerInstance(("r", "a", "b"), {("r", "a"): 1, ("r", "b"): 2}, "r", ("a", "b"), 3)
+    stats = {}
+    solution = solve_dst(star, stats_out=stats)
+    assert solution == brute_dst(star)
+    assert solution.arcs == (("r", "a"), ("r", "b"))
+    assert stats == {"forced": 2, "terminals": 0}
 
 
 def test_extract_layers_by_depth():
