@@ -5,6 +5,9 @@ It explores total states in breadth-first order up to the plan length bound,
 deduplicates states, and reconstructs a shortest witness plan.  Expansion
 follows action declaration order, so results are deterministic and the
 returned witness is the lexicographically least among the shortest plans.
+States are ints packed as in Fast Downward (Helmert, JAIR 2006), one bit
+field per variable holding its value's index in the domain: a precondition or
+the goal is one test state & mask == bits, an effect (state & keep) | bits.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from dataclasses import dataclass
 
 from .core import BoundedQuery, ResourceLimitError
 
-# A stored state of a 116-variable task costs about 1.1 KB, so the default
-# budget is exhausted at a few hundred megabytes.
-DEFAULT_MAX_STATES = 500_000
+# A stored state of a 115-variable task costs ~210 bytes: 440 MB at the budget.
+DEFAULT_MAX_STATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -27,31 +29,35 @@ class OracleResult:
     shortest_length: int | None
 
 
-def _compiled(query: BoundedQuery):
-    """Precompute index-based preconditions and effects for fast stepping."""
-    inst = query.instance
-    index = inst.variable_index
-    compiled = []
-    for action in inst.actions:
-        pre = tuple((index[n], v) for n, v in action.pre.items())
-        eff = tuple((index[n], v) for n, v in action.eff.items())
-        compiled.append((action.name, pre, eff))
-    return compiled
-
-
 def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> OracleResult:
     """Decide whether a plan of length at most k exists.
 
-    Returns a shortest witness on YES.  Raises ResourceLimitError once more
-    than max_states states have been expanded or, checked once per
-    expansion, stored.
+    Returns a shortest witness on YES.  Raises ResourceLimitError once more than
+    max_states states have been expanded or, checked once per expansion, stored.
     """
     inst = query.instance
-    actions = _compiled(query)
-    goal = tuple((inst.variable_index[n], v) for n, v in inst.goal.items())
-    start = inst.encode(inst.init)
+    fields, width = {}, 0
+    for var in inst.variables:
+        size = max(1, (len(var.domain) - 1).bit_length())
+        fields[var.name] = (width, ((1 << size) - 1) << width, var.domain)
+        width += size
 
-    came_from: dict[tuple[str, ...], tuple[tuple[str, ...], int] | None] = {start: None}
+    def pack(partial):
+        mask = bits = 0
+        for name, value in partial.items():
+            at, field, domain = fields[name]
+            mask |= field
+            bits |= domain.index(value) << at
+        return mask, bits
+
+    everything, start = pack(inst.init)  # init is total: its mask is every field
+    actions = []
+    for action in inst.actions:
+        eff_mask, eff_bits = pack(action.eff)
+        actions.append((*pack(action.pre), everything ^ eff_mask, eff_bits))
+    goal_mask, goal_bits = pack(inst.goal)
+
+    came_from: dict[int, tuple[int, int] | None] = {start: None}
     queue = deque([(start, 0)])
     explored = 0
     while queue:
@@ -62,25 +68,19 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                 f"state budget of {max_states} exhausted at depth {depth}: "
                 f"{explored} states expanded, {len(came_from)} stored"
             )
-        if all(state[i] == v for i, v in goal):
-            steps = []
-            cursor = state
+        if state & goal_mask == goal_bits:
+            steps, cursor = [], state
             while came_from[cursor] is not None:
                 cursor, action_index = came_from[cursor]
-                steps.append(actions[action_index][0])
-            steps.reverse()
-            return OracleResult(True, tuple(steps), explored, depth)
+                steps.append(inst.actions[action_index].name)
+            return OracleResult(True, tuple(reversed(steps)), explored, depth)
         if depth == query.k:
             continue
-        for action_index, (_, pre, eff) in enumerate(actions):
-            if any(state[i] != v for i, v in pre):
+        for action_index, (pre_mask, pre_bits, keep_mask, eff_bits) in enumerate(actions):
+            if state & pre_mask != pre_bits:
                 continue
-            successor = list(state)
-            for i, v in eff:
-                successor[i] = v
-            successor = tuple(successor)
+            successor = (state & keep_mask) | eff_bits
             if successor not in came_from:
                 came_from[successor] = (state, action_index)
                 queue.append((successor, depth + 1))
     return OracleResult(False, None, explored, None)
-

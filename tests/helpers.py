@@ -11,13 +11,8 @@ from sasbp.core import (
     PlanningInstance,
     Variable,
 )
-from sasbp.oracle import DEFAULT_MAX_STATES, ResourceLimitError, _compiled
-from sasbp.steiner import (
-    INFINITY,
-    SteinerInstance,
-    SteinerSolution,
-    _prune_to_arborescence,
-)
+from sasbp.oracle import DEFAULT_MAX_STATES, OracleResult, ResourceLimitError, decide_bfs
+from sasbp.steiner import INFINITY, SteinerInstance, SteinerSolution
 
 BIN = ("0", "1")
 
@@ -114,6 +109,78 @@ def reaches_all(root, terminals, arcs) -> bool:
     return all(t in seen for t in terminals)
 
 
+# Breadth-first search over value tuples: the state layout that
+# sasbp.oracle.decide_bfs replaced with packed ints, kept as a reference for
+# its results field for field and for its budget messages.
+
+
+def _compiled(query: BoundedQuery):
+    """Precompute index-based preconditions and effects for fast stepping."""
+    inst = query.instance
+    index = inst.variable_index
+    compiled = []
+    for action in inst.actions:
+        pre = tuple((index[n], v) for n, v in action.pre.items())
+        eff = tuple((index[n], v) for n, v in action.eff.items())
+        compiled.append((action.name, pre, eff))
+    return compiled
+
+
+def tuple_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> OracleResult:
+    """Tuple-state reference for decide_bfs: same search order, same result."""
+    inst = query.instance
+    actions = _compiled(query)
+    goal = tuple((inst.variable_index[n], v) for n, v in inst.goal.items())
+    start = inst.encode(inst.init)
+
+    came_from: dict[tuple[str, ...], tuple[tuple[str, ...], int] | None] = {start: None}
+    queue = deque([(start, 0)])
+    explored = 0
+    while queue:
+        state, depth = queue.popleft()
+        explored += 1
+        if explored > max_states or len(came_from) > max_states:
+            raise ResourceLimitError(
+                f"state budget of {max_states} exhausted at depth {depth}: "
+                f"{explored} states expanded, {len(came_from)} stored"
+            )
+        if all(state[i] == v for i, v in goal):
+            steps = []
+            cursor = state
+            while came_from[cursor] is not None:
+                cursor, action_index = came_from[cursor]
+                steps.append(actions[action_index][0])
+            steps.reverse()
+            return OracleResult(True, tuple(steps), explored, depth)
+        if depth == query.k:
+            continue
+        for action_index, (_, pre, eff) in enumerate(actions):
+            if any(state[i] != v for i, v in pre):
+                continue
+            successor = list(state)
+            for i, v in eff:
+                successor[i] = v
+            successor = tuple(successor)
+            if successor not in came_from:
+                came_from[successor] = (state, action_index)
+                queue.append((successor, depth + 1))
+    return OracleResult(False, None, explored, None)
+
+
+def same_as_tuple_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES):
+    """Run decide_bfs and tuple_bfs and require the same outcome: equal
+    OracleResults, or ResourceLimitErrors with equal messages.  Returns the
+    result, or None when the budget ran out."""
+    outcomes = []
+    for search in (decide_bfs, tuple_bfs):
+        try:
+            outcomes.append(search(query, max_states=max_states))
+        except ResourceLimitError as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1], outcomes
+    return outcomes[0] if isinstance(outcomes[0], OracleResult) else None
+
+
 def enumerate_plans(
     query: BoundedQuery, limit: int, max_sequences: int = DEFAULT_MAX_STATES
 ) -> list[tuple[str, ...]]:
@@ -156,7 +223,8 @@ def enumerate_plans(
 
 # Dreyfus-Wagner over all-pairs shortest paths: the dense subset DP that
 # sasbp.steiner.solve_dst replaced, kept as a reference for its answers
-# and its tie choices.
+# and its tie choices.  It prunes with its own copy of the package's tree
+# pruning, so a change there shows up as a difference in arcs.
 
 
 def _shortest_paths(inst: SteinerInstance):
@@ -186,6 +254,29 @@ def _shortest_paths(inst: SteinerInstance):
                     di[j] = cand
                     nxt[i][j] = nxt[i][m]
     return dist, nxt
+
+
+def _prune(inst: SteinerInstance, arcs) -> list[tuple[str, str]]:
+    """Deterministic breadth-first spanning tree of the arc set, cut down to
+    the branches that lead to terminals."""
+    index = inst.index
+    children: dict[str, list[str]] = {}
+    for u, v in sorted(set(arcs), key=lambda a: (index[a[0]], index[a[1]])):
+        children.setdefault(u, []).append(v)
+    parent: dict[str, str] = {}
+    order = [inst.root]
+    for node in order:
+        for child in children.get(node, ()):
+            if child != inst.root and child not in parent:
+                parent[child] = node
+                order.append(child)
+    needed: set[str] = set()
+    for t in inst.terminals:
+        node = t
+        while node != inst.root and node not in needed:
+            needed.add(node)
+            node = parent[node]
+    return sorted(((parent[x], x) for x in needed), key=lambda a: (index[a[0]], index[a[1]]))
 
 
 def _path_arcs(inst: SteinerInstance, nxt, i: int, j: int) -> list[tuple[str, str]]:
@@ -286,7 +377,7 @@ def dreyfus_wagner_reference(
             build(mask ^ sub, u)
 
     build(full, root)
-    kept = _prune_to_arborescence(inst, arcs)
+    kept = _prune(inst, arcs)
     weight = sum(inst.weights[a] for a in kept)
     if weight != best:
         raise RuntimeError(

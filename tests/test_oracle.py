@@ -1,11 +1,19 @@
+import itertools
 import random
 import re
 
 import pytest
 
 from sasbp.core import validate_plan
+from sasbp.gadgets import (
+    MulticoloredGraph,
+    compose_or_pub,
+    gen_clique_gadget,
+    gen_or_tree,
+    or_input_pub,
+)
 from sasbp.oracle import ResourceLimitError, decide_bfs
-from helpers import enumerate_plans, make_query, random_02_query
+from helpers import enumerate_plans, make_query, random_02_query, same_as_tuple_bfs
 
 
 def test_yes_when_goal_holds_initially():
@@ -130,3 +138,31 @@ def test_first_enumerated_plan_matches_bfs_witness():
         else:
             assert plans == []
     assert checked > 5
+
+
+def _gadget_queries():
+    graphs = [
+        MulticoloredGraph.complete(3, 3),
+        MulticoloredGraph.empty(3, 3),
+        MulticoloredGraph.random(3, 3, 0.5, rng=1),
+        MulticoloredGraph.random(3, 3, 0.3, rng=2),
+    ]
+    for graph in graphs:
+        yield gen_clique_gadget(graph).query
+    for bits in itertools.product((False, True), repeat=4):
+        yield gen_or_tree(bits).query
+    for t in (2, 3):
+        for yes_at in (0, t - 1, None):
+            yield compose_or_pub([or_input_pub(2, i == yes_at) for i in range(t)]).query
+
+
+def test_packed_states_match_the_tuple_reference_on_gadgets():
+    # clique gadgets with preconditions, all 16 four-bit OR trees and the
+    # postunique OR compositions: every OracleResult field agrees, and so
+    # does the budget message when a small budget runs out
+    decisions, limited = [], []
+    for query in _gadget_queries():
+        decisions.append(same_as_tuple_bfs(query).decision)
+        limited.append(same_as_tuple_bfs(query, max_states=40) is None)
+    assert len(decisions) == 26 and 0 < sum(decisions) < 26
+    assert 0 < sum(limited) < 26
