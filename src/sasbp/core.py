@@ -40,6 +40,23 @@ class PartialState(Mapping):
     def __len__(self) -> int:
         return len(self._assignment)
 
+    # The lookups and views answer straight from the dict; the Mapping
+    # mixins would route every entry through __getitem__ in Python.
+    def __contains__(self, name) -> bool:
+        return name in self._assignment
+
+    def get(self, name, default=None):
+        return self._assignment.get(name, default)
+
+    def keys(self):
+        return self._assignment.keys()
+
+    def items(self):
+        return self._assignment.items()
+
+    def values(self):
+        return self._assignment.values()
+
     def __eq__(self, other) -> bool:
         if isinstance(other, PartialState):
             return self._assignment == other._assignment
@@ -222,31 +239,32 @@ def validate_plan(inst: PlanningInstance, plan: Sequence[str]) -> ValidationRepo
     final state that does not satisfy the goal.  The trace always covers the
     successfully executed prefix.
     """
+    # One dict is stepped in place.  It stays total without re-checking:
+    # the instance guarantees a total init and effects on declared variables.
+    state = dict(inst.init._assignment)
     trace = [inst.init]
-    state = inst.init
     for step, name in enumerate(plan):
         action = inst.action_by_name.get(name)
         if action is None:
             return ValidationReport(False, tuple(trace), step, f"unknown action {name!r}")
-        if not is_valid_in(inst, action, state):
-            bad = next(n for n, v in action.pre.items() if state[n] != v)
+        for bad, value in action.pre._assignment.items():
+            if state[bad] != value:
+                return ValidationReport(
+                    False,
+                    tuple(trace),
+                    step,
+                    f"precondition violation: {name!r} requires {bad}="
+                    f"{value}, state has {bad}={state[bad]}",
+                )
+        state.update(action.eff._assignment)
+        trace.append(PartialState(state))
+    for miss, value in inst.goal._assignment.items():
+        if state[miss] != value:
             return ValidationReport(
                 False,
                 tuple(trace),
-                step,
-                f"precondition violation: {name!r} requires {bad}="
-                f"{action.pre[bad]}, state has {bad}={state[bad]}",
+                None,
+                f"final state is not a goal state: {miss}={state[miss]}, "
+                f"goal wants {miss}={value}",
             )
-        state = apply_action(inst, action, state)
-        trace.append(state)
-    if not is_goal_state(inst, state):
-        miss = next(n for n, v in inst.goal.items() if state[n] != v)
-        return ValidationReport(
-            False,
-            tuple(trace),
-            None,
-            f"final state is not a goal state: {miss}={state[miss]}, "
-            f"goal wants {miss}={inst.goal[miss]}",
-        )
     return ValidationReport(True, tuple(trace))
-

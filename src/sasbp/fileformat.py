@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
+from itertools import chain
 
 from .core import Action, BoundedQuery, PartialState, PlanningInstance, Variable
 from .steiner import SteinerInstance
@@ -47,10 +48,12 @@ class FormatError(ValueError):
 
 
 def _significant_lines(text: str):
+    """Line number, text and tokens of each line left non-blank once its
+    comment is cut; every parser splits a line here and only here."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line
+            yield lineno, line, line.split()
 
 
 def _parse_assignments(parts: list[str], lineno: int) -> dict[str, str]:
@@ -82,23 +85,19 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
     non-total init) surface as FormatError without one, via the instance
     constructor.
     """
-    lines = list(_significant_lines(text))
-    pos = 0
+    # The var and action checks test the line, not its first token, so a
+    # bare 'var' or 'action', or one followed by a tab, ends its section like
+    # any other line does.  Past the last line, the sentinel fails every
+    # check with line number '?'.
+    walk = chain(_significant_lines(text), [(None, "", [""])])
 
-    def peek():
-        return lines[pos] if pos < len(lines) else (None, None)
-
-    lineno, line = peek()
+    lineno, line, parts = next(walk)
     if line != HEADER:
         raise FormatError(f"line {lineno or 1}: expected header {HEADER!r}")
-    pos += 1
 
     variables: list[Variable] = []
-    while True:
-        lineno, line = peek()
-        if line is None or not line.startswith("var "):
-            break
-        parts = line.split()
+    lineno, line, parts = next(walk)
+    while line.startswith("var "):
         if len(parts) < 3:
             raise FormatError(f"line {lineno}: var needs a name and at least one value")
         _check_name("variable", parts[1], lineno, allow_reserved)
@@ -106,57 +105,45 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
             variables.append(Variable(parts[1], tuple(parts[2:])))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-        pos += 1
+        lineno, line, parts = next(walk)
 
-    lineno, line = peek()
-    if line is None or line.split()[0] != "init":
+    if parts[0] != "init":
         raise FormatError(f"line {lineno or '?'}: expected init line after variables")
-    init = _parse_assignments(line.split()[1:], lineno)
-    pos += 1
+    init = _parse_assignments(parts[1:], lineno)
 
-    lineno, line = peek()
-    if line is None or line.split()[0] != "goal":
+    lineno, line, parts = next(walk)
+    if parts[0] != "goal":
         raise FormatError(f"line {lineno or '?'}: expected goal line after init")
-    goal = _parse_assignments(line.split()[1:], lineno)
-    pos += 1
+    goal = _parse_assignments(parts[1:], lineno)
 
     actions: list[Action] = []
-    while True:
-        lineno, line = peek()
-        if line is None or not line.startswith("action "):
-            break
-        parts = line.split()
+    lineno, line, parts = next(walk)
+    while line.startswith("action "):
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: action takes exactly one name")
-        _check_name("action", parts[1], lineno, allow_reserved)
         name = parts[1]
-        pos += 1
-
-        block = {}
+        _check_name("action", name, lineno, allow_reserved)
+        block = []
         for keyword in ("pre", "eff"):
-            lineno, line = peek()
-            if line is None or line.split()[0] != keyword:
+            lineno, line, parts = next(walk)
+            if parts[0] != keyword:
                 raise FormatError(
                     f"line {lineno or '?'}: expected {keyword} line in action {name!r}"
                 )
-            block[keyword] = _parse_assignments(line.split()[1:], lineno)
-            pos += 1
-        lineno, line = peek()
+            block.append(PartialState(_parse_assignments(parts[1:], lineno)))
+        lineno, line, parts = next(walk)
         if line != "end":
             raise FormatError(f"line {lineno or '?'}: expected end after action {name!r}")
-        pos += 1
-        actions.append(Action(name, PartialState(block["pre"]), PartialState(block["eff"])))
+        actions.append(Action(name, *block))
+        lineno, line, parts = next(walk)
 
-    lineno, line = peek()
-    if line is None or line.split()[0] != "k":
+    if parts[0] != "k":
         raise FormatError(f"line {lineno or '?'}: expected bound line 'k INT' last")
-    parts = line.split()
     if len(parts) != 2 or not INTEGER.fullmatch(parts[1]):
         raise FormatError(f"line {lineno}: expected 'k INT', got {line!r}")
     k = int(parts[1])
-    pos += 1
-    if pos < len(lines):
-        lineno, line = lines[pos]
+    lineno, line, parts = next(walk)
+    if lineno is not None:
         raise FormatError(f"line {lineno}: unexpected content after bound: {line!r}")
 
     try:
@@ -197,8 +184,8 @@ def write_instance(query: BoundedQuery) -> str:
 def parse_plan(text: str) -> tuple[str, ...]:
     """One action name per line; comments and blank lines are skipped."""
     steps = []
-    for lineno, line in _significant_lines(text):
-        if len(line.split()) != 1:
+    for lineno, line, parts in _significant_lines(text):
+        if len(parts) != 1:
             raise FormatError(f"line {lineno}: expected one action name, got {line!r}")
         steps.append(line)
     return tuple(steps)
@@ -223,8 +210,7 @@ def parse_steiner(text: str) -> SteinerInstance:
     weights: dict[tuple[str, str], int] = {}
     stage = "node"
     order = ("node", "root", "terminal", "bound", "arc")
-    for lineno, line in _significant_lines(text):
-        parts = line.split()
+    for lineno, line, parts in _significant_lines(text):
         keyword = parts[0]
         if keyword not in order:
             raise FormatError(f"line {lineno}: unknown keyword {keyword!r}")

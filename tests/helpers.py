@@ -9,8 +9,13 @@ from sasbp.core import (
     BoundedQuery,
     PartialState,
     PlanningInstance,
+    ValidationReport,
     Variable,
+    apply_action,
+    is_goal_state,
+    is_valid_in,
 )
+from sasbp.fileformat import HEADER, INTEGER, RESERVED_PREFIX, FormatError
 from sasbp.oracle import DEFAULT_MAX_STATES, OracleResult, ResourceLimitError, decide_bfs
 from sasbp.steiner import INFINITY, SteinerInstance, SteinerSolution
 
@@ -384,3 +389,164 @@ def dreyfus_wagner_reference(
             f"reconstructed tree weighs {weight}, the table optimum is {best}"
         )
     return SteinerSolution(tuple(kept), weight)
+
+
+# The parser that sasbp.fileformat.parse_instance replaced: it peeks at each
+# line and splits it again in every check.  Kept as a reference for its
+# queries and for every FormatError message and line number, with its own
+# copies of the line, assignment and name helpers.
+
+
+def _significant_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _parse_assignments(parts: list[str], lineno: int) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for token in parts:
+        name, sep, value = token.partition("=")
+        if not sep or not name or not value:
+            raise FormatError(f"line {lineno}: expected NAME=VALUE, got {token!r}")
+        if name in out:
+            raise FormatError(f"line {lineno}: {name!r} assigned twice")
+        out[name] = value
+    return out
+
+
+def _check_name(kind: str, name: str, lineno: int, allow_reserved: bool) -> None:
+    if name.startswith(RESERVED_PREFIX) and not allow_reserved:
+        raise FormatError(
+            f"line {lineno}: {kind} name {name!r} uses the reserved '__' prefix "
+            f"(pass allow_reserved to accept generated files)"
+        )
+
+
+def reference_parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
+    """Peek-and-split reference for parse_instance: same query, same errors."""
+    lines = list(_significant_lines(text))
+    pos = 0
+
+    def peek():
+        return lines[pos] if pos < len(lines) else (None, None)
+
+    lineno, line = peek()
+    if line != HEADER:
+        raise FormatError(f"line {lineno or 1}: expected header {HEADER!r}")
+    pos += 1
+
+    variables: list[Variable] = []
+    while True:
+        lineno, line = peek()
+        if line is None or not line.startswith("var "):
+            break
+        parts = line.split()
+        if len(parts) < 3:
+            raise FormatError(f"line {lineno}: var needs a name and at least one value")
+        _check_name("variable", parts[1], lineno, allow_reserved)
+        try:
+            variables.append(Variable(parts[1], tuple(parts[2:])))
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        pos += 1
+
+    lineno, line = peek()
+    if line is None or line.split()[0] != "init":
+        raise FormatError(f"line {lineno or '?'}: expected init line after variables")
+    init = _parse_assignments(line.split()[1:], lineno)
+    pos += 1
+
+    lineno, line = peek()
+    if line is None or line.split()[0] != "goal":
+        raise FormatError(f"line {lineno or '?'}: expected goal line after init")
+    goal = _parse_assignments(line.split()[1:], lineno)
+    pos += 1
+
+    actions: list[Action] = []
+    while True:
+        lineno, line = peek()
+        if line is None or not line.startswith("action "):
+            break
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"line {lineno}: action takes exactly one name")
+        _check_name("action", parts[1], lineno, allow_reserved)
+        name = parts[1]
+        pos += 1
+
+        block = {}
+        for keyword in ("pre", "eff"):
+            lineno, line = peek()
+            if line is None or line.split()[0] != keyword:
+                raise FormatError(
+                    f"line {lineno or '?'}: expected {keyword} line in action {name!r}"
+                )
+            block[keyword] = _parse_assignments(line.split()[1:], lineno)
+            pos += 1
+        lineno, line = peek()
+        if line != "end":
+            raise FormatError(f"line {lineno or '?'}: expected end after action {name!r}")
+        pos += 1
+        actions.append(Action(name, PartialState(block["pre"]), PartialState(block["eff"])))
+
+    lineno, line = peek()
+    if line is None or line.split()[0] != "k":
+        raise FormatError(f"line {lineno or '?'}: expected bound line 'k INT' last")
+    parts = line.split()
+    if len(parts) != 2 or not INTEGER.fullmatch(parts[1]):
+        raise FormatError(f"line {lineno}: expected 'k INT', got {line!r}")
+    k = int(parts[1])
+    pos += 1
+    if pos < len(lines):
+        lineno, line = lines[pos]
+        raise FormatError(f"line {lineno}: unexpected content after bound: {line!r}")
+
+    try:
+        inst = PlanningInstance(
+            variables=tuple(variables),
+            actions=tuple(actions),
+            init=PartialState(init),
+            goal=PartialState(goal),
+        )
+        return BoundedQuery(inst, k)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+# The step-by-step validator that sasbp.core.validate_plan replaced: every
+# step goes through the public apply_action, is_valid_in and is_goal_state,
+# each of which re-checks that the state is total.  Kept as a reference for
+# its reports field for field.
+
+
+def reference_validate_plan(inst: PlanningInstance, plan) -> ValidationReport:
+    """Step-by-step reference for validate_plan: the same report."""
+    trace = [inst.init]
+    state = inst.init
+    for step, name in enumerate(plan):
+        action = inst.action_by_name.get(name)
+        if action is None:
+            return ValidationReport(False, tuple(trace), step, f"unknown action {name!r}")
+        if not is_valid_in(inst, action, state):
+            bad = next(n for n, v in action.pre.items() if state[n] != v)
+            return ValidationReport(
+                False,
+                tuple(trace),
+                step,
+                f"precondition violation: {name!r} requires {bad}="
+                f"{action.pre[bad]}, state has {bad}={state[bad]}",
+            )
+        state = apply_action(inst, action, state)
+        trace.append(state)
+    if not is_goal_state(inst, state):
+        miss = next(n for n, v in inst.goal.items() if state[n] != v)
+        return ValidationReport(
+            False,
+            tuple(trace),
+            None,
+            f"final state is not a goal state: {miss}={state[miss]}, "
+            f"goal wants {miss}={inst.goal[miss]}",
+        )
+    return ValidationReport(True, tuple(trace))

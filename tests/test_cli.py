@@ -536,6 +536,12 @@ class TestErrorsAndEntry:
             f"import sys; from {module} import {attr}; "
             f"sys.exit({attr}())"
         )
+        return TestErrorsAndEntry._run_fresh("-c", code, *argv)
+
+    @staticmethod
+    def _run_fresh(*args):
+        """Run `python *args` in a fresh interpreter that imports the same
+        `sasbp` package as this suite."""
         # The directory that holds the `sasbp` package this suite imports.
         src = str(Path(sasbp.__file__).resolve().parent.parent)
         env = dict(os.environ)
@@ -543,7 +549,7 @@ class TestErrorsAndEntry:
             filter(None, [src, env.get("PYTHONPATH")])
         )
         return subprocess.run(
-            [sys.executable, "-c", code, *argv],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             timeout=60,
@@ -566,6 +572,19 @@ class TestErrorsAndEntry:
         path.write_text(GATED.replace("k 2", "k 1"))
         proc = self._run_declared_script("solve", str(path))
         assert proc.returncode == 1, proc.stderr
+
+    @pytest.mark.parametrize("module", ["sasbp", "sasbp.cli"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        proc = self._run_fresh("-m", module, "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: sasbp")
+
+        # a NO answer must reach the exit status, not end in a silent 0
+        path = tmp_path / "gated.sasbp"
+        path.write_text(GATED.replace("k 2", "k 1"))
+        proc = self._run_fresh("-m", module, "solve", str(path))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.startswith("NO"), proc.stdout
 
     @pytest.mark.skipif(
         shutil.which("sasbp") is None,

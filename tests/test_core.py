@@ -1,3 +1,6 @@
+from collections.abc import Mapping
+from types import MappingProxyType
+
 import pytest
 
 from sasbp.core import (
@@ -34,6 +37,47 @@ def test_partial_state_equality_and_hash():
     assert s == {"a": "1", "b": "0"}
     assert s != PartialState({"a": "1"})
     assert EMPTY_STATE == PartialState()
+    assert hash(s) == hash(frozenset({"a": "1", "b": "0"}.items()))
+    assert s == MappingProxyType({"a": "1", "b": "0"}) and s != {"a": "1"}
+    assert s != ("a", "b") and len({s, t, PartialState({"a": "1"})}) == 2
+
+
+def test_partial_state_answers_like_a_dict():
+    entries = {"a": "1", "b": "0"}
+    s = PartialState(entries)
+    for name in ("a", "c"):
+        assert (name in s) == (name in entries)
+        assert s.get(name) == entries.get(name)
+        assert s.get(name, "x") == entries.get(name, "x")
+    assert list(s.keys()) == list(entries.keys())
+    assert list(s.items()) == list(entries.items())
+    assert list(s.values()) == list(entries.values())
+    assert s.keys() & {"b", "c"} == {"b"}
+    assert s.keys() | {"c"} == {"a", "b", "c"}
+    assert s.items() - {("a", "1")} == {("b", "0")}
+    assert ("a", "1") in s.items() and ("a", "0") not in s.items()
+    assert isinstance(s, Mapping)
+    assert dict(s) == entries
+
+
+def test_partial_state_views_cannot_mutate_it():
+    s = PartialState({"a": "1", "b": "0"})
+    for view in (s.keys(), s.items(), s.values()):
+        for method in ("add", "discard", "remove", "pop", "clear", "update", "__setitem__"):
+            assert not hasattr(view, method)
+        # a dict view exposes its dict only as a read-only proxy
+        backing = getattr(view, "mapping", None)
+        if backing is not None:
+            with pytest.raises(TypeError):
+                backing["a"] = "0"
+    assert s == {"a": "1", "b": "0"} and s.defined() == ("a", "b")
+
+
+def test_partial_state_lookups_skip_the_mapping_mixins():
+    # The Mapping mixins fetch each entry through __getitem__ in Python; the
+    # model layer's hot loops rely on these being the dict's own.
+    for method in ("__contains__", "get", "keys", "items", "values"):
+        assert method in vars(PartialState), method
 
 
 def test_partial_state_rejects_non_strings():

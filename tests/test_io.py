@@ -115,8 +115,16 @@ def test_round_trip_is_byte_stable():
             "line 8: expected end after action 'a'",
         ),
         ("SASBP 1\nvar x 0 1\ninit x=0\ngoal\n", "expected bound line"),
+        ("SASBP 1\nvar x 0 1\ninit x=0\ngoal  # no actions\n\n", "line \\?: expected bound line"),
+        ("SASBP 1\nvar x 0 1\ninit x=0\n", "line \\?: expected goal line"),
+        ("SASBP 1\nvar x 0 1\ninit x=0\ngoal\naction a\n", "line \\?: expected pre line in action 'a'"),
+        ("SASBP 1\nvar x 0 1\ninit x=0\ngoal\naction a\npre\neff\n", "line \\?: expected end after"),
         ("SASBP 1\nvar x 0 1\ninit x=0\ngoal\nk two\n", "line 5: expected 'k INT'"),
         ("SASBP 1\nvar x 0 1\ninit x=0\ngoal\nk 1\nk 2\n", "line 6: unexpected content"),
+        # a keyword without the space after it does not open its section
+        ("SASBP 1\nvar\n", "line 2: expected init line after variables"),
+        ("SASBP 1\nvar\tx 0 1\ninit x=0\ngoal\nk 0\n", "line 2: expected init line after"),
+        ("SASBP 1\nvar x 0 1\ninit x=0\ngoal\naction\n", "line 5: expected bound line 'k INT' last"),
     ],
 )
 def test_structural_errors_name_their_line(text, message):

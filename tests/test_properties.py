@@ -1,13 +1,24 @@
 """Property tests: generated instances checked against the brute-force
 references.  Examples are derandomized, so every run sees the same ones."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from sasbp.core import Action, PartialState, validate_plan  # noqa: E402
+from sasbp.fileformat import FormatError, parse_instance, write_instance  # noqa: E402
 from sasbp.steiner import SteinerInstance, brute_dst, solve_dst  # noqa: E402
-from helpers import make_query, reaches_all, same_as_tuple_bfs  # noqa: E402
+from helpers import (  # noqa: E402
+    make_query,
+    reaches_all,
+    reference_parse_instance,
+    reference_validate_plan,
+    same_as_tuple_bfs,
+)
 
 
 @st.composite
@@ -146,3 +157,155 @@ def test_packed_oracle_agrees_with_tuple_reference():
     # YES, NO, an exhausted budget, a variable without a goal and a
     # precondition each turn up in more than a tenth of the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
+
+
+KEYWORDS = ("SASBP", "var", "init", "goal", "action", "pre", "eff", "end", "k")
+
+
+@st.composite
+def instance_text(draw) -> tuple[str, bool]:
+    """The canonical text of a generated task, or that text with one line
+    deleted, duplicated, re-keyworded, cut to a bare keyword, given a tab,
+    extra tokens or a reserved name, or joined by a comment or a blank line;
+    or the text cut short after a line.  With it, whether to allow reserved
+    names."""
+    text = write_instance(draw(small_task()))
+    lines = text.splitlines()
+    # The mutation is picked by a Random seeded from the text: hypothesis
+    # favours the first of a set of choices, and small seeds, which would
+    # leave most sections and kinds unused.
+    rng = random.Random(text + str(draw(st.integers(0, 9))))
+    # pick a section first, so that each is mutated about as often
+    heads = [line.split(" ", 1)[0] for line in lines]
+    head = rng.choice(sorted(set(heads), key=heads.index))
+    i = rng.choice([j for j, h in enumerate(heads) if h == head])
+    line = lines[i]
+    at = i + rng.randint(0, 1)  # a new line goes just before or after it
+    kind = rng.choice((
+        "canonical", "delete", "duplicate", "keyword", "bare", "tab", "extra",
+        "comment", "truncate", "reserved",
+    ))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(at, line)
+    elif kind == "keyword":
+        _, space, rest = line.partition(" ")
+        lines[i] = rng.choice(KEYWORDS) + space + rest
+    elif kind == "bare":
+        lines.insert(at, rng.choice(("var", "action", "k")))
+    elif kind == "tab":
+        if " " in line and rng.random() < 0.5:
+            lines[i] = line.replace(" ", "\t", 1)
+        else:
+            cut = rng.randint(0, len(line))
+            lines[i] = line[:cut] + "\t" + line[cut:]
+    elif kind == "extra":
+        lines[i] = line + " " + rng.choice(("x", "v0=0", "0", "end", "k 1"))
+    elif kind == "comment":
+        extra = rng.choice(("", "  \t ", "# note", "  # var x 0 1"))
+        if extra.strip() and rng.random() < 0.5:
+            lines[i] = line + "  " + extra.strip()
+        else:
+            lines.insert(at, extra)
+    elif kind == "truncate":
+        del lines[at:]
+    elif kind == "reserved":
+        lines[i] = line.replace(" ", " __", 1)
+    return "\n".join(lines) + "\n", rng.random() < 0.5
+
+
+def _parsed(parse, text, allow_reserved):
+    """The query, or the FormatError message; anything else propagates."""
+    try:
+        return parse(text, allow_reserved)
+    except FormatError as error:
+        return f"FormatError: {error}"
+
+
+def test_parser_agrees_with_reference_parser():
+    parsed = []
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(instance_text())
+    def check(case):
+        text, allow_reserved = case
+        outcome = _parsed(parse_instance, text, allow_reserved)
+        assert outcome == _parsed(reference_parse_instance, text, allow_reserved), text
+        parsed.append(not isinstance(outcome, str))
+        if isinstance(outcome, str):
+            return
+        canonical = write_instance(outcome)
+        again = parse_instance(canonical, allow_reserved)
+        assert again == outcome and write_instance(again) == canonical
+
+    check()
+    # both parsed queries and FormatErrors make up more than a tenth
+    assert min(sum(parsed), len(parsed) - sum(parsed)) > len(parsed) // 10, sum(parsed)
+
+
+@st.composite
+def task_and_plan(draw):
+    """A task with preconditions and a plan that breaks a precondition,
+    names an unknown action, misses the goal or is valid.  Where the task
+    gives no way to break or miss, one blocking action or one goal entry is
+    added."""
+    inst = draw(small_task()).instance
+    kind = draw(st.sampled_from(("violation", "unknown", "goal", "valid")))
+    state = dict(inst.init)
+    plan = []
+
+    def applicable(action):
+        return all(state[n] == v for n, v in action.pre.items())
+
+    def other_value():
+        variable = draw(st.sampled_from([v for v in inst.variables if len(v.domain) > 1]))
+        value = draw(st.sampled_from([x for x in variable.domain if x != state[variable.name]]))
+        return variable.name, value
+
+    for _ in range(draw(st.integers(0, 4))):
+        ready = [a for a in inst.actions if applicable(a)]
+        if not ready:
+            break
+        action = draw(st.sampled_from(ready))
+        plan.append(action.name)
+        state.update(action.eff)
+    movable = any(len(v.domain) > 1 for v in inst.variables)
+    if kind == "violation" and movable:
+        blocked = [a for a in inst.actions if not applicable(a)]
+        if not blocked:
+            blocked = [Action("blocked", PartialState([other_value()]), PartialState())]
+            inst = replace(inst, actions=inst.actions + tuple(blocked))
+        plan.append(draw(st.sampled_from(blocked)).name)
+        plan += draw(st.lists(st.sampled_from([a.name for a in inst.actions]), max_size=2))
+    elif kind == "unknown":
+        plan.insert(draw(st.integers(0, len(plan))), "ghost")
+    elif kind == "goal" and movable:
+        name, value = other_value()
+        inst = replace(inst, goal=PartialState({**inst.goal, name: value}))
+    elif kind == "valid":
+        # the goal becomes part of where the walk ended
+        kept = draw(st.lists(st.sampled_from(sorted(state)), unique=True))
+        inst = replace(inst, goal=PartialState({n: state[n] for n in kept}))
+    return inst, plan
+
+
+def test_plan_validation_agrees_with_reference_validator():
+    reasons = []
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(task_and_plan())
+    def check(task):
+        inst, plan = task
+        report = validate_plan(inst, plan)
+        expected = reference_validate_plan(inst, plan)
+        assert report == expected
+        assert (report.valid, report.trace, report.failed_step, report.reason) == (
+            expected.valid, expected.trace, expected.failed_step, expected.reason,
+        )
+        reasons.append("valid" if report.valid else report.reason.split(":")[0].split()[0])
+
+    check()
+    # each outcome turns up in more than a tenth of the examples
+    counts = {r: reasons.count(r) for r in ("valid", "unknown", "precondition", "final")}
+    assert min(counts.values()) > len(reasons) // 10, counts
