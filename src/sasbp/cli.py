@@ -237,7 +237,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    paths = sorted(Path(args.dir).glob("*.sasbp"))
+    directory = Path(args.dir)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{args.dir} is not a directory")
+    paths = sorted(directory.glob("*.sasbp"))
     rows = []
     for path in paths:
         query = parse_instance(path.read_text(), allow_reserved=True)
@@ -284,6 +287,17 @@ def cmd_bench(args) -> int:
     return EXIT_YES
 
 
+def _state_budget(text: str) -> int:
+    """argparse type for --max-states: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"state budget must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sasbp", description="bounded plan length planning toolkit"
@@ -307,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_arg(p)
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--plan-out", help="write the witness plan here on YES")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_state_budget, default=DEFAULT_MAX_STATES)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -369,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="solve every instance in a directory")
     p.add_argument("dir", help="directory of .sasbp files")
     p.add_argument("--out", required=True, help="CSV report path")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_state_budget, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -193,13 +193,12 @@ class BoundedQuery:
 class ValidationReport:
     """Outcome of checking a plan step by step.
 
-    trace holds the visited total states (initial state first).  On failure,
-    failed_step is the 0-based index of the offending step, or None when the
-    plan executed but its final state misses the goal.
+    On failure, failed_step is the 0-based index of the offending step, or
+    None when the plan executed but its final state misses the goal, and
+    reason says what went wrong.
     """
 
     valid: bool
-    trace: tuple[PartialState, ...]
     failed_step: int | None = None
     reason: str | None = None
 
@@ -236,35 +235,30 @@ def validate_plan(inst: PlanningInstance, plan: Sequence[str]) -> ValidationRepo
     """Execute a plan from the initial state and report the outcome.
 
     Failure reasons: an unknown action name, a violated precondition, or a
-    final state that does not satisfy the goal.  The trace always covers the
-    successfully executed prefix.
+    final state that does not satisfy the goal.
     """
     # One dict is stepped in place.  It stays total without re-checking:
     # the instance guarantees a total init and effects on declared variables.
     state = dict(inst.init._assignment)
-    trace = [inst.init]
     for step, name in enumerate(plan):
         action = inst.action_by_name.get(name)
         if action is None:
-            return ValidationReport(False, tuple(trace), step, f"unknown action {name!r}")
+            return ValidationReport(False, step, f"unknown action {name!r}")
         for bad, value in action.pre._assignment.items():
             if state[bad] != value:
                 return ValidationReport(
                     False,
-                    tuple(trace),
                     step,
                     f"precondition violation: {name!r} requires {bad}="
                     f"{value}, state has {bad}={state[bad]}",
                 )
         state.update(action.eff._assignment)
-        trace.append(PartialState(state))
     for miss, value in inst.goal._assignment.items():
         if state[miss] != value:
             return ValidationReport(
                 False,
-                tuple(trace),
                 None,
                 f"final state is not a goal state: {miss}={state[miss]}, "
                 f"goal wants {miss}={value}",
             )
-    return ValidationReport(True, tuple(trace))
+    return ValidationReport(True)

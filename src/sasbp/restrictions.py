@@ -70,12 +70,11 @@ class EffectClassification:
 
     per_effect maps (action name, variable name) to good/bad; per_action maps
     action names to good/bad/mixed.  Actions without effects are vacuously
-    good and additionally listed in .vacuous since they can never help.
+    good.
     """
 
     per_effect: dict[tuple[str, str], str]
     per_action: dict[str, str]
-    vacuous: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,6 @@ def detect_profile(inst: PlanningInstance) -> RestrictionProfile:
 def classify_effects(inst: PlanningInstance) -> EffectClassification:
     per_effect: dict[tuple[str, str], str] = {}
     per_action: dict[str, str] = {}
-    vacuous = []
     for action in inst.actions:
         good_seen = False
         bad_seen = False
@@ -143,9 +141,7 @@ def classify_effects(inst: PlanningInstance) -> EffectClassification:
             per_action[action.name] = BAD
         else:
             per_action[action.name] = GOOD
-            if not good_seen:
-                vacuous.append(action.name)
-    return EffectClassification(per_effect, per_action, tuple(vacuous))
+    return EffectClassification(per_effect, per_action)
 
 
 def broken_variables(inst: PlanningInstance) -> tuple[str, ...]:

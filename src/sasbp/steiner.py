@@ -76,9 +76,12 @@ class SteinerSolution:
     total_weight: int
 
 
-def _prune_to_arborescence(inst: SteinerInstance, arcs) -> list[tuple[str, str]]:
-    """Keep a deterministic spanning tree of the arc set, restricted to
-    branches that lead to terminals."""
+def _prune_to_arborescence(inst: SteinerInstance, arcs) -> tuple[list, dict]:
+    """Keep the breadth-first spanning tree of the arc set from the root,
+    children in declaration order, restricted to branches that lead to
+    terminals.  Returns the kept arcs in declaration order and the depth of
+    each node reached: every kept arc joins a node to its breadth-first
+    parent, so that is the node's depth in the kept tree."""
     index = inst.index
     children: dict[str, list[str]] = {}
     arc_set = set(arcs)
@@ -86,14 +89,14 @@ def _prune_to_arborescence(inst: SteinerInstance, arcs) -> list[tuple[str, str]]
         children.setdefault(u, []).append(v)
     parent: dict[str, str] = {}
     order = [inst.root]
-    seen = {inst.root}
+    depth = {inst.root: 0}
     cursor = 0
     while cursor < len(order):
         node = order[cursor]
         cursor += 1
         for child in children.get(node, ()):
-            if child not in seen:
-                seen.add(child)
+            if child not in depth:
+                depth[child] = depth[node] + 1
                 parent[child] = node
                 order.append(child)
     needed: set[str] = set()
@@ -106,7 +109,7 @@ def _prune_to_arborescence(inst: SteinerInstance, arcs) -> list[tuple[str, str]]
             node = parent[node]
     kept = [(parent[x], x) for x in needed]
     kept.sort(key=lambda a: (index[a[0]], index[a[1]]))
-    return kept
+    return kept, depth
 
 
 def _descend(into, seeds: dict[int, int], bound: int):
@@ -221,7 +224,7 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
         return None
     forced_arcs = [(inst.nodes[u], inst.nodes[t]) for u, t, _ in forced]
     if not t_idx:
-        return SteinerSolution(tuple(_prune_to_arborescence(inst, forced_arcs)), forced_weight)
+        return SteinerSolution(tuple(_prune_to_arborescence(inst, forced_arcs)[0]), forced_weight)
     if len(t_idx) * inst.min_finite_weight() > bound:
         # Each remaining terminal needs a distinct incoming arc.
         return None
@@ -290,7 +293,7 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
         if mask & (mask - 1):
             sub = splits[mask][v]
             stack += [(sub, v), (mask ^ sub, v)]
-    kept = _prune_to_arborescence(inst, arcs)
+    kept, _ = _prune_to_arborescence(inst, arcs)
     weight = sum(inst.weights[a] for a in kept)
     if weight != best + forced_weight:
         raise RuntimeError(
@@ -330,7 +333,7 @@ def brute_dst(inst: SteinerInstance, max_subsets: int = 2_000_000) -> SteinerSol
                 best_subset = tuple(chosen)
     if best_key is None or best_key[0] > inst.bound:
         return None
-    kept = _prune_to_arborescence(inst, best_subset)
+    kept, _ = _prune_to_arborescence(inst, best_subset)
     return SteinerSolution(tuple(kept), sum(inst.weights[a] for a in kept))
 
 
@@ -354,32 +357,18 @@ def extract_arborescence(
     """Group a solution's arcs into layers by the depth of the arc tail.
 
     Layer 0 holds the arcs leaving the root, layer i the arcs whose tail
-    sits at tree depth i.  Within a layer, arcs follow node declaration
-    order.  The solution must belong to the instance and reach every
-    terminal.
+    sits at tree depth i.  The arcs are first pruned to the breadth-first
+    arborescence of _prune_to_arborescence, whose depths are the tree
+    depths and whose declaration order each layer keeps.  The solution must
+    belong to the instance and reach every terminal.
     """
     for arc in solution.arcs:
         if arc not in inst.weights:
             raise ValueError(f"arc {arc!r} does not belong to this instance")
-    kept = _prune_to_arborescence(inst, solution.arcs)
-    index = inst.index
-    depth = {inst.root: 0}
-    remaining = list(kept)
-    layers: list[list[tuple[str, str]]] = []
-    while remaining:
-        unresolved = []
-        for u, v in remaining:
-            if u in depth:
-                d = depth[u]
-                while len(layers) <= d:
-                    layers.append([])
-                layers[d].append((u, v))
-                depth[v] = d + 1
-            else:
-                unresolved.append((u, v))
-        if len(unresolved) == len(remaining):
-            raise ValueError("solution arcs are not connected to the root")
-        remaining = unresolved
-    for layer in layers:
-        layer.sort(key=lambda a: (index[a[0]], index[a[1]]))
+    kept, depth = _prune_to_arborescence(inst, solution.arcs)
+    # the deepest head counts the layers; every tail below the root has its
+    # own in-arc kept, so no layer is left empty
+    layers: list = [[] for _ in range(max((depth[v] for _, v in kept), default=0))]
+    for u, v in kept:
+        layers[depth[u]].append((u, v))
     return layers

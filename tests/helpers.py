@@ -391,6 +391,41 @@ def dreyfus_wagner_reference(
     return SteinerSolution(tuple(kept), weight)
 
 
+# The layering that sasbp.steiner.extract_arborescence replaced: it prunes,
+# then resolves tail depths in fixpoint passes over the kept arcs and sorts
+# each layer again.  Kept as a reference for its layers, on top of the
+# helpers' own copy of the tree pruning.
+
+
+def reference_layers(solution: SteinerSolution, inst: SteinerInstance):
+    """Fixpoint reference for extract_arborescence: the same layers."""
+    for arc in solution.arcs:
+        if arc not in inst.weights:
+            raise ValueError(f"arc {arc!r} does not belong to this instance")
+    kept = _prune(inst, solution.arcs)
+    index = inst.index
+    depth = {inst.root: 0}
+    remaining = list(kept)
+    layers: list[list[tuple[str, str]]] = []
+    while remaining:
+        unresolved = []
+        for u, v in remaining:
+            if u in depth:
+                d = depth[u]
+                while len(layers) <= d:
+                    layers.append([])
+                layers[d].append((u, v))
+                depth[v] = d + 1
+            else:
+                unresolved.append((u, v))
+        if len(unresolved) == len(remaining):
+            raise ValueError("solution arcs are not connected to the root")
+        remaining = unresolved
+    for layer in layers:
+        layer.sort(key=lambda a: (index[a[0]], index[a[1]]))
+    return layers
+
+
 # The parser that sasbp.fileformat.parse_instance replaced: it peeks at each
 # line and splits it again in every check.  Kept as a reference for its
 # queries and for every FormatError message and line number, with its own
@@ -523,30 +558,26 @@ def reference_parse_instance(text: str, allow_reserved: bool = False) -> Bounded
 
 def reference_validate_plan(inst: PlanningInstance, plan) -> ValidationReport:
     """Step-by-step reference for validate_plan: the same report."""
-    trace = [inst.init]
     state = inst.init
     for step, name in enumerate(plan):
         action = inst.action_by_name.get(name)
         if action is None:
-            return ValidationReport(False, tuple(trace), step, f"unknown action {name!r}")
+            return ValidationReport(False, step, f"unknown action {name!r}")
         if not is_valid_in(inst, action, state):
             bad = next(n for n, v in action.pre.items() if state[n] != v)
             return ValidationReport(
                 False,
-                tuple(trace),
                 step,
                 f"precondition violation: {name!r} requires {bad}="
                 f"{action.pre[bad]}, state has {bad}={state[bad]}",
             )
         state = apply_action(inst, action, state)
-        trace.append(state)
     if not is_goal_state(inst, state):
         miss = next(n for n, v in inst.goal.items() if state[n] != v)
         return ValidationReport(
             False,
-            tuple(trace),
             None,
             f"final state is not a goal state: {miss}={state[miss]}, "
             f"goal wants {miss}={inst.goal[miss]}",
         )
-    return ValidationReport(True, tuple(trace))
+    return ValidationReport(True)

@@ -383,6 +383,20 @@ class TestBench:
         assert rows[2]["terminals"] == "5"
         assert all(float(r["seconds"]) >= 0 for r in rows)
 
+    def test_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        report = tmp_path / "report.csv"
+        code, out, err = run(capsys, "bench", str(tmp_path / "nope"), "--out", str(report))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / 'nope'} is not a directory\n"
+        assert not report.exists()
+
+    def test_file_given_as_directory_is_a_usage_error(self, capsys, tmp_path, trade_file):
+        report = tmp_path / "report.csv"
+        code, out, err = run(capsys, "bench", trade_file, "--out", str(report))
+        assert (code, out) == (2, "")
+        assert err == f"error: {trade_file} is not a directory\n"
+        assert not report.exists()
+
 
 class TestGoldenOutput:
     """Exact stdout, plan files and exit codes, pinned so that refactoring
@@ -519,6 +533,20 @@ class TestErrorsAndEntry:
             main(["frobnicate"])
         assert info.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_state_budget_below_one_is_a_usage_error(
+        self, capsys, tmp_path, trade_file, command, budget
+    ):
+        report = tmp_path / "report.csv"
+        argv = [trade_file] if command == "solve" else [str(tmp_path), "--out", str(report)]
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv, "--max-states", budget])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-states: state budget must be at least 1, got {budget}" in err
+        assert not report.exists()
 
     @staticmethod
     def _run_declared_script(*argv):

@@ -9,13 +9,14 @@ from sasbp.core import (
     BoundedQuery,
     PartialState,
     PlanningInstance,
+    ValidationReport,
     Variable,
     apply_action,
     is_goal_state,
     is_valid_in,
     validate_plan,
 )
-from helpers import make_query
+from helpers import chain_query, make_query
 
 
 def test_partial_state_is_a_mapping():
@@ -149,7 +150,7 @@ def test_apply_and_validity():
         is_valid_in(inst, flip, EMPTY_STATE)
 
 
-def test_validate_plan_success_and_trace():
+def test_validate_plan_success_report():
     q = make_query(
         {"a": 2, "b": 2},
         [("one", {}, {"a": "1"}), ("two", {"a": "1"}, {"b": "1"})],
@@ -158,11 +159,27 @@ def test_validate_plan_success_and_trace():
         2,
     )
     report = validate_plan(q.instance, ["one", "two"])
-    assert report.valid
-    assert report.failed_step is None and report.reason is None
-    assert len(report.trace) == 3
-    assert report.trace[0] == q.instance.init
-    assert report.trace[-1] == {"a": "1", "b": "1"}
+    assert report == ValidationReport(True, None, None)
+    assert report == ValidationReport(True)
+
+
+def test_validate_plan_builds_no_partial_states(monkeypatch):
+    inst = chain_query(4).instance
+    built = []
+    original = PartialState.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PartialState, "__init__", counting)
+    apply_action(inst, inst.action_by_name["g1"], inst.init)
+    assert len(built) == 1  # the counter sees a state being built
+    built.clear()
+    plan = ["m1", "m2", "m3", "g1", "g2", "g3", "g4"]
+    assert validate_plan(inst, plan) == ValidationReport(True)
+    assert not validate_plan(inst, plan[:-1]).valid
+    assert built == []
 
 
 def test_validate_plan_failures():

@@ -127,7 +127,6 @@ def test_classify_effects():
     }
     assert classes.per_effect[("good2", "c")] == GOOD  # goal-undefined is good
     assert classes.per_effect[("mixed", "b")] == BAD
-    assert classes.vacuous == ("noop",)
 
 
 def test_broken_variables_follow_declaration_order():
