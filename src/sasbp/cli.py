@@ -243,7 +243,10 @@ def cmd_bench(args) -> int:
     paths = sorted(directory.glob("*.sasbp"))
     rows = []
     for path in paths:
-        query = parse_instance(path.read_text(), allow_reserved=True)
+        try:
+            query = parse_instance(path.read_text(), allow_reserved=True)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         method = pick_method(query.instance)
         explored = dp_entries = terminals = ""
         start = time.perf_counter()

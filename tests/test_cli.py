@@ -397,6 +397,17 @@ class TestBench:
         assert err == f"error: {trade_file} is not a directory\n"
         assert not report.exists()
 
+    def test_malformed_instance_is_named(self, capsys, tmp_path, trade_file):
+        # a good file, then one that stops after its variables: exit 2, no
+        # CSV, and the message says which file failed to parse
+        bad = tmp_path / "truncated.sasbp"
+        bad.write_text("SASBP 1\nvar x 0\n")
+        report = tmp_path / "report.csv"
+        code, out, err = run(capsys, "bench", str(tmp_path), "--out", str(report))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: line ?: expected init line after variables\n"
+        assert not report.exists()
+
 
 class TestGoldenOutput:
     """Exact stdout, plan files and exit codes, pinned so that refactoring

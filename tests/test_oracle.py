@@ -12,7 +12,7 @@ from sasbp.gadgets import (
     gen_or_tree,
     or_input_pub,
 )
-from sasbp.oracle import ResourceLimitError, decide_bfs
+from sasbp.oracle import ResourceLimitError, _packed, _redundant, decide_bfs
 from helpers import enumerate_plans, make_query, random_02_query, same_as_tuple_bfs
 
 
@@ -146,6 +146,7 @@ def _gadget_queries():
         MulticoloredGraph.empty(3, 3),
         MulticoloredGraph.random(3, 3, 0.5, rng=1),
         MulticoloredGraph.random(3, 3, 0.3, rng=2),
+        MulticoloredGraph.random(4, 2, 0.7, rng=3),
     ]
     for graph in graphs:
         yield gen_clique_gadget(graph).query
@@ -164,5 +165,39 @@ def test_packed_states_match_the_tuple_reference_on_gadgets():
     for query in _gadget_queries():
         decisions.append(same_as_tuple_bfs(query).decision)
         limited.append(same_as_tuple_bfs(query, max_states=40) is None)
-    assert len(decisions) == 26 and 0 < sum(decisions) < 26
-    assert 0 < sum(limited) < 26
+    assert len(decisions) == 27 and 0 < sum(decisions) < 27
+    assert 0 < sum(limited) < 27
+
+
+def test_skip_rules_truth_table():
+    # which actions a state first stored by b skips: b reads w and writes x
+    # and y; every other action writes x and something else
+    q = make_query(
+        dict.fromkeys("wxyz", 2),
+        [
+            ("early", {}, {"x": "1", "z": "1"}),  # commutes, declared first
+            ("clash", {}, {"x": "0", "z": "1"}),  # x=0 against b's x=1
+            ("unguard", {}, {"x": "1", "w": "1"}),  # writes what b reads
+            ("b", {"w": "0"}, {"x": "1", "y": "1"}),
+            ("late", {}, {"x": "1", "z": "1"}),  # commutes, declared after
+            ("cover", {"z": "0"}, {"x": "0", "y": "0", "z": "1"}),
+            ("reader", {"y": "1"}, {"x": "1", "y": "1", "z": "1"}),  # reads b's y
+        ],
+        dict.fromkeys("wxyz", "0"),
+        {"z": "1"},
+        3,
+    )
+    names = [action.name for action in q.instance.actions]
+    _, actions = _packed(q.instance)
+    b = names.index("b")
+    skipped = {name for a, name in enumerate(names) if _redundant(a, b, actions)}
+    # b covers itself: a second b leaves the state as it is
+    assert skipped == {"early", "b", "cover"}
+    assert same_as_tuple_bfs(q).decision
+
+
+def test_skip_rules_drop_a_third_of_the_clique_gadget_pairs():
+    _, actions = _packed(gen_clique_gadget(MulticoloredGraph.complete(4, 2)).query.instance)
+    pairs = [(b, a) for b in range(len(actions)) for a in range(len(actions))]
+    dropped = sum(_redundant(a, b, actions) for b, a in pairs)
+    assert dropped * 3 >= len(pairs)

@@ -1,6 +1,7 @@
 """Property tests: generated instances checked against the brute-force
 references.  Examples are derandomized, so every run sees the same ones."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -236,6 +237,91 @@ def test_packed_oracle_agrees_with_tuple_reference():
     assert sizes == {1, 2, 3, 4, 5}
     # YES, NO, an exhausted budget, a variable without a goal and a
     # precondition each turn up in more than a tenth of the examples
+    assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
+
+
+PAIR_KINDS = ("commute", "cover", "reads", "conflict")
+
+
+@st.composite
+def task_with_planted_pairs(draw):
+    """A task over three to five variables of two or three values with one to
+    three planted pairs of actions, each declared in either order: a pair
+    that commutes (one shared variable set to the same value, one more
+    variable each), one action whose effects cover the other's, one that
+    reads a variable the other writes, or two that set a shared variable to
+    different values.  Preconditions on the pair's own variables make the
+    pairs apply in some states only.  Each goal variable wants a value other
+    than its initial one."""
+    names = [f"v{i}" for i in range(draw(st.integers(3, 5)))]
+    size = {n: draw(st.integers(2, 3)) for n in names}
+
+    def value(name: str) -> str:
+        return str(draw(st.integers(0, size[name] - 1)))
+
+    def guard(name: str) -> dict:
+        return {name: value(name)} if draw(st.booleans()) else {}
+
+    actions = []
+    for j in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(PAIR_KINDS))
+        shared, left, right = draw(st.permutations(names))[:3]
+        x = value(shared)
+        if kind == "commute":
+            pair = [(guard(left), {shared: x, left: value(left)}),
+                    (guard(right), {shared: x, right: value(right)})]
+        elif kind == "cover":
+            pair = [(guard(right), {shared: x}),
+                    (guard(right), {shared: value(shared), left: value(left)})]
+        elif kind == "reads":
+            pair = [(guard(right), {shared: x, right: value(right)}),
+                    ({shared: value(shared)}, {left: value(left)})]
+        else:
+            y = str((int(x) + draw(st.integers(1, size[shared] - 1))) % size[shared])
+            pair = [(guard(left), {shared: x, left: value(left)}),
+                    (guard(right), {shared: y, right: value(right)})]
+        for i, (pre, eff) in enumerate(draw(st.permutations(pair))):
+            actions.append((f"{kind}{j}_{i}", pre, eff))
+    init = {n: value(n) for n in names}
+    wanted = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    goal = {n: str((int(init[n]) + draw(st.integers(1, size[n] - 1))) % size[n]) for n in wanted}
+    return make_query(size, actions, init, goal, draw(st.integers(2, 5)))
+
+
+def pair_kinds(inst) -> set[str]:
+    """The kinds of ordered action pair (a, b) in a task, read off the
+    actions' variables and values."""
+    kinds = set()
+    for a, b in itertools.permutations(inst.actions, 2):
+        shared = set(a.eff) & set(b.eff)
+        if set(a.pre) & set(b.eff) or set(b.pre) & set(a.eff):
+            kinds.add("reads")
+        elif any(a.eff[n] != b.eff[n] for n in shared):
+            kinds.add("conflict")
+        elif set(b.eff) <= set(a.eff):
+            kinds.add("cover")
+        elif shared:
+            kinds.add("commute")
+    return kinds
+
+
+def test_skip_rules_keep_the_tuple_reference_result():
+    # the oracle skips successors by cover and commute; the unpruned tuple
+    # search must agree on every result and every budget message
+    seen = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(task_with_planted_pairs(), st.integers(1, 3))
+    def check(query, short):
+        result = same_as_tuple_bfs(query)
+        budget = max(1, result.explored_states - short)
+        limited = same_as_tuple_bfs(query, max_states=budget) is None
+        kinds = pair_kinds(query.instance)
+        seen.append((*(kind in kinds for kind in PAIR_KINDS), result.decision, limited))
+
+    check()
+    # each kind of pair, a YES and an exhausted budget each turn up in more
+    # than a tenth of the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 
