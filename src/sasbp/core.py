@@ -73,10 +73,6 @@ class PartialState(Mapping):
         inner = ", ".join(f"{n}={v}" for n, v in self._assignment.items())
         return f"PartialState({inner})"
 
-    def defined(self) -> tuple[str, ...]:
-        """Names of the variables this state assigns, in insertion order."""
-        return tuple(self._assignment)
-
 
 EMPTY_STATE = PartialState()
 
@@ -164,14 +160,6 @@ class PlanningInstance:
     @cached_property
     def action_by_name(self) -> dict[str, Action]:
         return {a.name: a for a in self.actions}
-
-    def encode(self, state: PartialState) -> tuple[str, ...]:
-        """Pack a total state into a value tuple in declaration order."""
-        return tuple(state[v.name] for v in self.variables)
-
-    def decode(self, values: Sequence[str]) -> PartialState:
-        """Inverse of encode."""
-        return PartialState(zip((v.name for v in self.variables), values))
 
     def is_total(self, state: PartialState) -> bool:
         return all(v.name in state for v in self.variables)

@@ -17,7 +17,8 @@ Comments run from '#' to the end of the line.  The writer emits a canonical
 form: assignments ordered by variable declaration, one action block per
 action in declaration order, pre and eff lines always present even when
 empty.  Parsing the writer's output reproduces the query exactly, so
-repeated round trips are byte stable.
+repeated round trips are byte stable.  The writers raise ValueError on a
+token that would not parse back as itself.
 
 Names starting with a double underscore are reserved for generated
 machinery (chain variables, the Steiner root and pair nodes) and rejected
@@ -41,6 +42,9 @@ RESERVED_PREFIX = "__"
 # Integers as str(int) writes them: ASCII digits, no leading zeros, no "-0".
 INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 NATURAL = re.compile(r"0|[1-9][0-9]*")
+# Parsers split at whitespace, cut comments at '#' and assignments at '='.
+UNSPLIT = re.compile(r"[\s#]")
+UNSPLIT_NAME = re.compile(r"[\s#=]")
 
 
 class FormatError(ValueError):
@@ -158,6 +162,14 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
         raise FormatError(str(exc)) from None
 
 
+def _check_tokens(kind: str, tokens: Sequence[str], bad: re.Pattern = UNSPLIT) -> None:
+    """Raise ValueError naming a token that is empty or holds what bad finds;
+    one search over the joined tokens keeps the clean case fast."""
+    if "" in tokens or bad.search("".join(tokens)):
+        token = next(t for t in tokens if not t or bad.search(t))
+        raise ValueError(f"{kind} {token!r} cannot be written as one token")
+
+
 def _ordered_assignments(state: PartialState, order: dict[str, int]) -> str:
     keys = sorted(state, key=order.__getitem__)
     return " ".join(f"{name}={state[name]}" for name in keys)
@@ -166,6 +178,9 @@ def _ordered_assignments(state: PartialState, order: dict[str, int]) -> str:
 def write_instance(query: BoundedQuery) -> str:
     """Canonical text form of a bounded query; see the module docstring."""
     inst = query.instance
+    _check_tokens("variable name", [v.name for v in inst.variables], UNSPLIT_NAME)
+    _check_tokens("domain value", list(chain.from_iterable(v.domain for v in inst.variables)))
+    _check_tokens("action name", [a.name for a in inst.actions])
     order = inst.variable_index
     out = [HEADER]
     for v in inst.variables:
@@ -192,6 +207,7 @@ def parse_plan(text: str) -> tuple[str, ...]:
 
 
 def write_plan(plan: Sequence[str]) -> str:
+    _check_tokens("action name", plan)
     return "".join(f"{name}\n" for name in plan)
 
 
@@ -258,6 +274,7 @@ def parse_steiner(text: str) -> SteinerInstance:
 
 def write_steiner(inst: SteinerInstance, origins: dict | None = None) -> str:
     """Canonical text form; origins may annotate arcs with source actions."""
+    _check_tokens("node name", inst.nodes)
     out = [f"node {name}" for name in inst.nodes]
     out.append(f"root {inst.root}")
     out.extend(f"terminal {name}" for name in inst.terminals)

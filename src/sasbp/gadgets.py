@@ -390,6 +390,16 @@ def or_input_pub(k: int, yes: bool) -> GadgetOutput:
     return _or_input(k, yes, k - 1, "x", "set", "y")
 
 
+def _shared_bound(inputs: tuple) -> int:
+    """The one bound that two or more OR inputs share."""
+    if len(inputs) < 2:
+        raise ValueError("need at least two inputs")
+    bounds = {g.query.k for g in inputs}
+    if len(bounds) != 1:
+        raise ValueError(f"inputs must share one bound, got {sorted(bounds)}")
+    return bounds.pop()
+
+
 def compose_or_pub(inputs) -> GadgetOutput:
     """OR-compose postunique unary Boolean queries sharing one bound.
 
@@ -407,12 +417,7 @@ def compose_or_pub(inputs) -> GadgetOutput:
     """
     inputs = tuple(inputs)
     t = len(inputs)
-    if t < 2:
-        raise ValueError("need at least two inputs")
-    bounds = {g.query.k for g in inputs}
-    if len(bounds) != 1:
-        raise ValueError(f"inputs must share one bound, got {sorted(bounds)}")
-    k = bounds.pop()
+    k = _shared_bound(inputs)
     limit = or_threshold(k)
     if t > limit:
         raise ValueError(f"at most {limit} inputs supported at bound {k}, got {t}")
@@ -514,12 +519,7 @@ def compose_or_02(inputs) -> GadgetOutput:
     """
     inputs = tuple(inputs)
     t = len(inputs)
-    if t < 2:
-        raise ValueError("need at least two inputs")
-    bounds = {g.query.k for g in inputs}
-    if len(bounds) != 1:
-        raise ValueError(f"inputs must share one bound, got {sorted(bounds)}")
-    k = bounds.pop()
+    k = _shared_bound(inputs)
     for idx, g in enumerate(inputs, 1):
         if pick_method(g.query.instance) != "fpt02":
             raise ValueError(

@@ -46,7 +46,6 @@ class ReductionArtifacts:
 
     steiner: SteinerInstance
     arc_origin: dict[tuple[str, str], tuple[str, ...]]
-    instance: PlanningInstance
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
     return ReductionArtifacts(
         steiner=steiner,
         arc_origin={arc: tuple(names) for arc, names in origin.items()},
-        instance=inst,
     )
 
 
@@ -143,20 +141,17 @@ def extract_plan(
 
     Layers are emitted deepest first so each arc's repair happens after the
     damage below it, and the root layer of good actions closes the plan.
-    Within a layer, arcs keep node declaration order; each weight-1 arc
-    contributes its first declared origin action and weight-0 arcs (a pair
-    node's fan-out) contribute nothing.
+    Within a layer, arcs keep node declaration order; each arc contributes
+    its first declared origin action, but a pair node's fan-out nothing.
     """
     for arc in solution.arcs:
         if arc not in artifacts.arc_origin:
             raise ValueError(f"arc {arc!r} has no origin action in these artifacts")
-    weights = artifacts.steiner.weights
-    layers = extract_arborescence(solution, artifacts.steiner)
     return tuple(
         artifacts.arc_origin[arc][0]
-        for layer in reversed(layers)
+        for layer in reversed(extract_arborescence(solution))
         for arc in layer
-        if weights[arc]
+        if not arc[0].startswith(PAIR)
     )
 
 

@@ -207,13 +207,6 @@ def _pubs_record(flags: frozenset[str]) -> ClassificationRecord:
     return _R(PSPACE_COMPLETE, W2_COMPLETE, KERNEL_NA)
 
 
-_ALL_FLAGS = ("P", "U", "B", "S")
-_PUBS_TABLE: dict[frozenset[str], ClassificationRecord] = {}
-for _mask in range(16):
-    _flags = frozenset(f for i, f in enumerate(_ALL_FLAGS) if _mask >> i & 1)
-    _PUBS_TABLE[_flags] = _pubs_record(_flags)
-
-
 def _pe_bucket(p: int | None, e: int | None) -> tuple[str, str]:
     if p is ARBITRARY:
         row = "any"
@@ -250,10 +243,10 @@ def lookup_pubs(flags: frozenset[str] | set[str] | str) -> ClassificationRecord:
     if isinstance(flags, str):
         flags = set(flags)
     flags = frozenset(flags)
-    unknown = flags - set(_ALL_FLAGS)
+    unknown = flags - set("PUBS")
     if unknown:
         raise ValueError(f"unknown restriction flags: {sorted(unknown)}")
-    return _PUBS_TABLE[flags]
+    return _pubs_record(flags)
 
 
 def lookup_complexity(profile: RestrictionProfile, pubs_mode: bool = False) -> ClassificationRecord:

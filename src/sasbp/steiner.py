@@ -64,36 +64,30 @@ class SteinerInstance:
     def index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.nodes)}
 
-    def min_finite_weight(self) -> int | None:
-        return min(self.weights.values(), default=None)
-
 
 @dataclass(frozen=True)
 class SteinerSolution:
-    """Arcs of an out-arborescence covering the terminals, plus their weight."""
+    """Arcs of an out-arborescence over the terminals, their weight and tail depths."""
 
     arcs: tuple[tuple[str, str], ...]
     total_weight: int
+    depths: tuple[int, ...]
 
 
-def _prune_to_arborescence(inst: SteinerInstance, arcs) -> tuple[list, dict]:
+def _tree(inst: SteinerInstance, arcs) -> SteinerSolution:
     """Keep the breadth-first spanning tree of the arc set from the root,
     children in declaration order, restricted to branches that lead to
-    terminals.  Returns the kept arcs in declaration order and the depth of
-    each node reached: every kept arc joins a node to its breadth-first
-    parent, so that is the node's depth in the kept tree."""
+    terminals, as a solution: the kept arcs in declaration order, their
+    weight and their tail depths.  Every kept arc joins a node to its
+    breadth-first parent, so a tail's breadth-first depth is its tree depth."""
     index = inst.index
     children: dict[str, list[str]] = {}
-    arc_set = set(arcs)
-    for u, v in sorted(arc_set, key=lambda a: (index[a[0]], index[a[1]])):
+    for u, v in sorted(set(arcs), key=lambda a: (index[a[0]], index[a[1]])):
         children.setdefault(u, []).append(v)
     parent: dict[str, str] = {}
     order = [inst.root]
     depth = {inst.root: 0}
-    cursor = 0
-    while cursor < len(order):
-        node = order[cursor]
-        cursor += 1
+    for node in order:
         for child in children.get(node, ()):
             if child not in depth:
                 depth[child] = depth[node] + 1
@@ -107,9 +101,9 @@ def _prune_to_arborescence(inst: SteinerInstance, arcs) -> tuple[list, dict]:
         while node != inst.root and node not in needed:
             needed.add(node)
             node = parent[node]
-    kept = [(parent[x], x) for x in needed]
-    kept.sort(key=lambda a: (index[a[0]], index[a[1]]))
-    return kept, depth
+    kept = sorted(((parent[x], x) for x in needed), key=lambda a: (index[a[0]], index[a[1]]))
+    depths = tuple(depth[u] for u, _ in kept)
+    return SteinerSolution(tuple(kept), sum(inst.weights[a] for a in kept), depths)
 
 
 def _descend(into, seeds: dict[int, int], bound: int):
@@ -224,9 +218,9 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
         return None
     forced_arcs = [(inst.nodes[u], inst.nodes[t]) for u, t, _ in forced]
     if not t_idx:
-        return SteinerSolution(tuple(_prune_to_arborescence(inst, forced_arcs)[0]), forced_weight)
-    if len(t_idx) * inst.min_finite_weight() > bound:
-        # Each remaining terminal needs a distinct incoming arc.
+        return _tree(inst, forced_arcs)
+    if len(t_idx) * min(inst.weights.values()) > bound:
+        # Each remaining terminal needs a distinct (and has a live) in-arc.
         return None
     full = (1 << len(t_idx)) - 1
     rows = [_descend(into, {t: 0}, bound) for t in t_idx]
@@ -293,14 +287,13 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
         if mask & (mask - 1):
             sub = splits[mask][v]
             stack += [(sub, v), (mask ^ sub, v)]
-    kept, _ = _prune_to_arborescence(inst, arcs)
-    weight = sum(inst.weights[a] for a in kept)
-    if weight != best + forced_weight:
+    solution = _tree(inst, arcs)
+    if solution.total_weight != best + forced_weight:
         raise RuntimeError(
-            f"reconstructed tree weighs {weight}, the table optimum {best} "
-            f"plus the forced weight {forced_weight} is {best + forced_weight}"
+            f"reconstructed tree weighs {solution.total_weight}, the table optimum "
+            f"{best} plus the forced weight {forced_weight} is {best + forced_weight}"
         )
-    return SteinerSolution(tuple(kept), weight)
+    return solution
 
 
 def brute_dst(inst: SteinerInstance, max_subsets: int = 2_000_000) -> SteinerSolution | None:
@@ -312,7 +305,7 @@ def brute_dst(inst: SteinerInstance, max_subsets: int = 2_000_000) -> SteinerSol
     """
     terminals = inst.terminals
     if not terminals:
-        return SteinerSolution((), 0) if inst.bound >= 0 else None
+        return _tree(inst, ()) if inst.bound >= 0 else None
     all_arcs = list(inst.weights.items())
     largest = min(len(all_arcs), len(inst.nodes) - 1)
     best_key: tuple | None = None
@@ -333,8 +326,7 @@ def brute_dst(inst: SteinerInstance, max_subsets: int = 2_000_000) -> SteinerSol
                 best_subset = tuple(chosen)
     if best_key is None or best_key[0] > inst.bound:
         return None
-    kept, _ = _prune_to_arborescence(inst, best_subset)
-    return SteinerSolution(tuple(kept), sum(inst.weights[a] for a in kept))
+    return _tree(inst, best_subset)
 
 
 def _reaches_all(inst: SteinerInstance, arcs) -> bool:
@@ -351,24 +343,13 @@ def _reaches_all(inst: SteinerInstance, arcs) -> bool:
     return all(t in seen for t in inst.terminals)
 
 
-def extract_arborescence(
-    solution: SteinerSolution, inst: SteinerInstance
-) -> list[list[tuple[str, str]]]:
+def extract_arborescence(solution: SteinerSolution) -> list[list[tuple[str, str]]]:
     """Group a solution's arcs into layers by the depth of the arc tail.
 
     Layer 0 holds the arcs leaving the root, layer i the arcs whose tail
-    sits at tree depth i.  The arcs are first pruned to the breadth-first
-    arborescence of _prune_to_arborescence, whose depths are the tree
-    depths and whose declaration order each layer keeps.  The solution must
-    belong to the instance and reach every terminal.
-    """
-    for arc in solution.arcs:
-        if arc not in inst.weights:
-            raise ValueError(f"arc {arc!r} does not belong to this instance")
-    kept, depth = _prune_to_arborescence(inst, solution.arcs)
-    # the deepest head counts the layers; every tail below the root has its
-    # own in-arc kept, so no layer is left empty
-    layers: list = [[] for _ in range(max((depth[v] for _, v in kept), default=0))]
-    for u, v in kept:
-        layers[depth[u]].append((u, v))
+    sits at tree depth i, in the solution's order.  No layer is left empty:
+    every tail below the root has its own in-arc."""
+    layers: list = [[] for _ in range(max(solution.depths, default=-1) + 1)]
+    for arc, depth in zip(solution.arcs, solution.depths):
+        layers[depth].append(arc)
     return layers

@@ -136,7 +136,7 @@ def tuple_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Orac
     inst = query.instance
     actions = _compiled(query)
     goal = tuple((inst.variable_index[n], v) for n, v in inst.goal.items())
-    start = inst.encode(inst.init)
+    start = tuple(inst.init[v.name] for v in inst.variables)
 
     came_from: dict[tuple[str, ...], tuple[tuple[str, ...], int] | None] = {start: None}
     queue = deque([(start, 0)])
@@ -201,7 +201,7 @@ def enumerate_plans(
     inst = query.instance
     actions = _compiled(query)
     goal = tuple((inst.variable_index[n], v) for n, v in inst.goal.items())
-    start = inst.encode(inst.init)
+    start = tuple(inst.init[v.name] for v in inst.variables)
 
     found: list[tuple[str, ...]] = []
     queue = deque([(start, ())])
@@ -306,8 +306,8 @@ def dreyfus_wagner_reference(
     """
     terminals = inst.terminals
     if not terminals:
-        return SteinerSolution((), 0) if inst.bound >= 0 else None
-    min_w = inst.min_finite_weight()
+        return SteinerSolution((), 0, ()) if inst.bound >= 0 else None
+    min_w = min(inst.weights.values(), default=None)
     if min_w is None:
         return None
     if len(terminals) * min_w > inst.bound:
@@ -388,7 +388,8 @@ def dreyfus_wagner_reference(
         raise RuntimeError(
             f"reconstructed tree weighs {weight}, the table optimum is {best}"
         )
-    return SteinerSolution(tuple(kept), weight)
+    depth = {arc: d for d, layer in enumerate(reference_layers(kept, inst)) for arc in layer}
+    return SteinerSolution(tuple(kept), weight, tuple(depth[arc] for arc in kept))
 
 
 # The layering that sasbp.steiner.extract_arborescence replaced: it prunes,
@@ -397,12 +398,13 @@ def dreyfus_wagner_reference(
 # helpers' own copy of the tree pruning.
 
 
-def reference_layers(solution: SteinerSolution, inst: SteinerInstance):
-    """Fixpoint reference for extract_arborescence: the same layers."""
-    for arc in solution.arcs:
+def reference_layers(arcs, inst: SteinerInstance):
+    """Fixpoint reference for extract_arborescence: the layers of the tree
+    that an arc set of the instance prunes to."""
+    for arc in arcs:
         if arc not in inst.weights:
             raise ValueError(f"arc {arc!r} does not belong to this instance")
-    kept = _prune(inst, solution.arcs)
+    kept = _prune(inst, arcs)
     index = inst.index
     depth = {inst.root: 0}
     remaining = list(kept)

@@ -27,7 +27,7 @@ def test_partial_state_is_a_mapping():
         s["c"]
     assert len(s) == 2
     assert set(s) == {"a", "b"}
-    assert s.defined() == ("a", "b")
+    assert tuple(s) == ("a", "b")
 
 
 def test_partial_state_equality_and_hash():
@@ -71,7 +71,7 @@ def test_partial_state_views_cannot_mutate_it():
         if backing is not None:
             with pytest.raises(TypeError):
                 backing["a"] = "0"
-    assert s == {"a": "1", "b": "0"} and s.defined() == ("a", "b")
+    assert s == {"a": "1", "b": "0"} and tuple(s) == ("a", "b")
 
 
 def test_partial_state_lookups_skip_the_mapping_mixins():
@@ -115,19 +115,6 @@ def test_instance_validation():
         PlanningInstance((v,), (a, a), PartialState({"a": "0"}), EMPTY_STATE)
 
 
-def test_encode_decode_roundtrip():
-    q = make_query(
-        {"a": 2, "b": 3},
-        [],
-        {"a": "1", "b": "2"},
-        {},
-        0,
-    )
-    inst = q.instance
-    assert inst.encode(inst.init) == ("1", "2")
-    assert inst.decode(("0", "1")) == PartialState({"a": "0", "b": "1"})
-
-
 def test_apply_and_validity():
     q = make_query(
         {"a": 2, "b": 2},
@@ -142,7 +129,7 @@ def test_apply_and_validity():
     after = apply_action(inst, flip, inst.init)
     assert after == {"a": "1", "b": "0"}
     assert is_goal_state(inst, after)
-    blocked = inst.decode(("0", "1"))
+    blocked = PartialState({"a": "0", "b": "1"})
     assert not is_valid_in(inst, flip, blocked)
     with pytest.raises(ValueError, match="requires b=0"):
         apply_action(inst, flip, blocked)

@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from sasbp.core import EMPTY_STATE, Action, BoundedQuery, PartialState, PlanningInstance, Variable
 from sasbp.fileformat import (
     FormatError,
     parse_instance,
@@ -169,6 +171,55 @@ def test_plan_files():
     assert parse_plan(write_plan(())) == ()
     with pytest.raises(FormatError, match="line 2: expected one action name"):
         parse_plan("ok\nnot ok\n")
+
+
+def one_variable_query(name="c", domain=("0", "1"), action="set") -> BoundedQuery:
+    eff = PartialState({name: domain[-1]})
+    actions = (Action(action, EMPTY_STATE, eff),)
+    inst = PlanningInstance((Variable(name, domain),), actions, PartialState({name: domain[0]}), eff)
+    return BoundedQuery(inst, 1)
+
+
+@pytest.mark.parametrize(
+    "fields, kind",
+    [
+        # written as 'var c 0 x#1', read back with the domain ('0', 'x')
+        ({"domain": ("0", "x#1")}, "domain value"),
+        # 'init a b=0' does not parse
+        ({"name": "a b"}, "variable name"),
+        ({"name": "a=b"}, "variable name"),
+        ({"name": "a\u2028b"}, "variable name"),
+        ({"domain": ("0", "")}, "domain value"),
+        ({"domain": ("0", "1\t2")}, "domain value"),
+        ({"action": "set all"}, "action name"),
+        ({"action": "set#"}, "action name"),
+    ],
+)
+def test_write_instance_refuses_tokens_that_would_not_parse_back(fields, kind):
+    token = [*fields.values()][0]
+    token = token[-1] if isinstance(token, tuple) else token
+    with pytest.raises(ValueError, match=re.escape(f"{kind} {token!r} cannot be written")):
+        write_instance(one_variable_query(**fields))
+
+
+def test_written_tokens_round_trip():
+    # '=' may sit in a value and in an action name, '#' and blanks nowhere
+    query = one_variable_query("c", ("0", "x=1", "é"), "set=x")
+    assert parse_instance(write_instance(query)) == query
+
+
+def test_write_plan_and_write_steiner_refuse_split_names():
+    # written as 'x#y', read back as the plan ('x',)
+    with pytest.raises(ValueError, match="action name 'x#y'"):
+        write_plan(["x#y"])
+    for bad in ("a b", "", "a\x1cb"):
+        with pytest.raises(ValueError, match="action name"):
+            write_plan(["ok", bad])
+    assert parse_plan(write_plan(["x=y", "ok"])) == ("x=y", "ok")
+    for bad in ("n 1", "n#1", ""):
+        inst = SteinerInstance(("r", bad), {("r", bad): 1}, "r", (bad,), 1)
+        with pytest.raises(ValueError, match=f"node name {bad!r}"):
+            write_steiner(inst)
 
 
 STEINER_DOC = """\

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 import sasbp.planner02 as planner02
+from sasbp import steiner
 from sasbp.core import BoundedQuery, validate_plan
 from sasbp.oracle import ResourceLimitError, decide_bfs
 from sasbp.planner02 import (
@@ -82,19 +84,48 @@ def test_reduction_rejections():
 
 
 def test_extract_orders_repairs_after_damage():
-    artifacts = reduce_to_steiner(repair_query(3))
+    query = repair_query(3)
+    artifacts = reduce_to_steiner(query)
     solution = solve_dst(artifacts.steiner)
     assert solution is not None and solution.total_weight == 3
     plan = extract_plan(artifacts, solution)
     # deepest layer ("c", "b") first, then the root layer in node order
     assert plan == ("mix", "ga", "gc")
-    assert validate_plan(artifacts.instance, plan).valid
+    assert validate_plan(query.instance, plan).valid
 
 
 def test_extract_rejects_unknown_arcs():
     artifacts = reduce_to_steiner(repair_query(3))
     with pytest.raises(ValueError, match="origin"):
-        extract_plan(artifacts, SteinerSolution((("c", "a"),), 1))
+        extract_plan(artifacts, SteinerSolution((("c", "a"),), 1, (0,)))
+
+
+def test_each_yes_solve_prunes_its_tree_once(monkeypatch):
+    # solve_dst's tree carries its depths, so extract_plan layers it without
+    # pruning again and without the Steiner instance
+    trees = []
+    original = steiner._tree
+
+    def counting(inst, arcs):
+        trees.append(original(inst, arcs))
+        return trees[-1]
+
+    monkeypatch.setattr(steiner, "_tree", counting)
+    rng = random.Random(2007)
+    queries = [repair_query(3), repair_query(2)]
+    queries += [random_02_query(rng, 7, 10, 5) for _ in range(60)]
+    yes = paired = 0
+    for query in queries:
+        trees.clear()
+        result = solve(query)
+        assert result.method == "fpt02"
+        assert len(trees) == result.decision
+        if result.decision:
+            detached = replace(result.artifacts, steiner=None)
+            assert extract_plan(detached, trees[0]) == result.witness
+            yes += 1
+            paired += any(arc[0].startswith(PAIR) for arc in trees[0].arcs)
+    assert 10 < yes < len(queries) - 10 and paired > 5, (yes, paired)
 
 
 def test_solve_yes_at_exact_bound():

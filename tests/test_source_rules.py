@@ -50,3 +50,22 @@ def test_package_and_demos_import_only_public_names():
     assert len(files) > 10
     found = [name for path, in_package in files for name in _private_imports(path, in_package)]
     assert found == []
+
+
+def test_every_public_definition_is_exported_or_used():
+    # __all__ names only what the package has, each once; a public top-level
+    # function or class that is neither exported nor named anywhere else in
+    # the package is dead code.
+    assert all(hasattr(sasbp, name) for name in sasbp.__all__)
+    assert len(set(sasbp.__all__)) == len(sasbp.__all__)
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defined, named = [], []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append(node.name)
+        named += [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+        named += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert len(defined) > 40
+    unread = [name for name in defined if name not in sasbp.__all__ and name not in named]
+    assert unread == []
