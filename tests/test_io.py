@@ -181,23 +181,21 @@ def one_variable_query(name="c", domain=("0", "1"), action="set") -> BoundedQuer
 
 
 @pytest.mark.parametrize(
-    "fields, kind",
+    "fields, kind, token",
     [
         # written as 'var c 0 x#1', read back with the domain ('0', 'x')
-        ({"domain": ("0", "x#1")}, "domain value"),
+        ({"domain": ("0", "x#1")}, "domain value", "x#1"),
         # 'init a b=0' does not parse
-        ({"name": "a b"}, "variable name"),
-        ({"name": "a=b"}, "variable name"),
-        ({"name": "a\u2028b"}, "variable name"),
-        ({"domain": ("0", "")}, "domain value"),
-        ({"domain": ("0", "1\t2")}, "domain value"),
-        ({"action": "set all"}, "action name"),
-        ({"action": "set#"}, "action name"),
+        ({"name": "a b"}, "variable name", "a b"),
+        ({"name": "a=b"}, "variable name", "a=b"),
+        ({"name": "a\u2028b"}, "variable name", "a\u2028b"),
+        ({"domain": ("0", "")}, "domain value", ""),
+        ({"domain": ("0", "1\t2")}, "domain value", "1\t2"),
+        ({"action": "set all"}, "action name", "set all"),
+        ({"action": "set#"}, "action name", "set#"),
     ],
 )
-def test_write_instance_refuses_tokens_that_would_not_parse_back(fields, kind):
-    token = [*fields.values()][0]
-    token = token[-1] if isinstance(token, tuple) else token
+def test_write_instance_refuses_tokens_that_would_not_parse_back(fields, kind, token):
     with pytest.raises(ValueError, match=re.escape(f"{kind} {token!r} cannot be written")):
         write_instance(one_variable_query(**fields))
 

@@ -58,9 +58,9 @@ def test_every_public_definition_is_exported_or_used():
     # the package is dead code.
     assert all(hasattr(sasbp, name) for name in sasbp.__all__)
     assert len(set(sasbp.__all__)) == len(sasbp.__all__)
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     defined, named = [], []
-    for file, tree in trees.items():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined.append(node.name)
