@@ -2,7 +2,8 @@
 
 A state assigns one value from a finite domain to every variable.  Partial
 states may leave variables undefined; undefined entries are simply absent
-from the assignment.  Actions carry a precondition and an effect, both
+from the assignment.  A partial state is a read-only dict, so every lookup
+on it is the dict's own.  Actions carry a precondition and an effect, both
 partial states.  A plan is a sequence of action names that is valid from the
 initial state and ends in a state satisfying the goal.
 """
@@ -14,63 +15,49 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-class PartialState(Mapping):
-    """Immutable assignment from variable names to values.
+class PartialState(dict):
+    """Read-only dict from variable names to values.
 
     Variables not present in the mapping are undefined.  Indexing with an
-    undefined variable raises KeyError like a dict; use .get() to obtain
-    None for undefined entries.
+    undefined variable raises KeyError; use .get() to obtain None for
+    undefined entries.  Lookups and views are the dict's own; every mutator
+    raises TypeError, so a state can be hashed and shared.  Equality holds
+    with any mapping of the same entries.
     """
 
-    __slots__ = ("_assignment", "_hash")
+    __slots__ = ("_hash",)
 
     def __init__(self, assignment: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
-        self._assignment = dict(assignment)
         self._hash = None
-        for name, value in self._assignment.items():
-            if not isinstance(name, str) or not isinstance(value, str):
-                raise TypeError("variable names and values must be strings")
+        if assignment:
+            dict.update(self, assignment)  # the dict's own; this class's raises
+            for name, value in self.items():
+                if not isinstance(name, str) or not isinstance(value, str):
+                    raise TypeError("variable names and values must be strings")
 
-    def __getitem__(self, name: str) -> str:
-        return self._assignment[name]
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("PartialState is read-only")
 
-    def __iter__(self):
-        return iter(self._assignment)
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = _read_only
 
-    def __len__(self) -> int:
-        return len(self._assignment)
-
-    # The lookups and views answer straight from the dict; the Mapping
-    # mixins would route every entry through __getitem__ in Python.
-    def __contains__(self, name) -> bool:
-        return name in self._assignment
-
-    def get(self, name, default=None):
-        return self._assignment.get(name, default)
-
-    def keys(self):
-        return self._assignment.keys()
-
-    def items(self):
-        return self._assignment.items()
-
-    def values(self):
-        return self._assignment.values()
+    def __reduce__(self):
+        # copy and pickle would otherwise refill the copy through __setitem__
+        return PartialState, (dict(self),)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PartialState):
-            return self._assignment == other._assignment
+        if isinstance(other, dict):
+            return dict.__eq__(self, other)
         if isinstance(other, Mapping):
-            return self._assignment == dict(other)
+            return dict.__eq__(self, dict(other))
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._assignment.items()))
+            self._hash = hash(frozenset(self.items()))
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={v}" for n, v in self._assignment.items())
+        inner = ", ".join(f"{n}={v}" for n, v in self.items())
         return f"PartialState({inner})"
 
 
@@ -132,18 +119,25 @@ class PlanningInstance:
         action_names = [a.name for a in self.actions]
         if len(set(action_names)) != len(action_names):
             raise ValueError("duplicate action names")
-        domains = {v.name: v.domain for v in self.variables}
-        self._check_assignment("init", self.init, domains)
+        # Each state is checked with one set containment; only a failing
+        # one is walked entry by entry to name its first culprit.
+        pairs = {(v.name, value) for v in self.variables for value in v.domain}
+        if not self.init.items() <= pairs:
+            self._name_culprit("init", self.init)
         missing = [n for n in names if n not in self.init]
         if missing:
             raise ValueError(f"init is not total: missing {missing[0]!r}")
-        self._check_assignment("goal", self.goal, domains)
+        if not self.goal.items() <= pairs:
+            self._name_culprit("goal", self.goal)
         for action in self.actions:
-            self._check_assignment(f"pre of {action.name!r}", action.pre, domains)
-            self._check_assignment(f"eff of {action.name!r}", action.eff, domains)
+            if not (action.pre.items() <= pairs and action.eff.items() <= pairs):
+                self._name_culprit(f"pre of {action.name!r}", action.pre)
+                self._name_culprit(f"eff of {action.name!r}", action.eff)
 
-    @staticmethod
-    def _check_assignment(context: str, state: PartialState, domains) -> None:
+    def _name_culprit(self, context: str, state: PartialState) -> None:
+        """Raise ValueError on the first entry of state that names an
+        undeclared variable or a value outside its variable's domain."""
+        domains = {v.name: v.domain for v in self.variables}
         for name, value in state.items():
             if name not in domains:
                 raise ValueError(f"{context} references unknown variable {name!r}")
@@ -227,12 +221,12 @@ def validate_plan(inst: PlanningInstance, plan: Sequence[str]) -> ValidationRepo
     """
     # One dict is stepped in place.  It stays total without re-checking:
     # the instance guarantees a total init and effects on declared variables.
-    state = dict(inst.init._assignment)
+    state = dict(inst.init)
     for step, name in enumerate(plan):
         action = inst.action_by_name.get(name)
         if action is None:
             return ValidationReport(False, step, f"unknown action {name!r}")
-        for bad, value in action.pre._assignment.items():
+        for bad, value in action.pre.items():
             if state[bad] != value:
                 return ValidationReport(
                     False,
@@ -240,8 +234,8 @@ def validate_plan(inst: PlanningInstance, plan: Sequence[str]) -> ValidationRepo
                     f"precondition violation: {name!r} requires {bad}="
                     f"{value}, state has {bad}={state[bad]}",
                 )
-        state.update(action.eff._assignment)
-    for miss, value in inst.goal._assignment.items():
+        state.update(action.eff)
+    for miss, value in inst.goal.items():
         if state[miss] != value:
             return ValidationReport(
                 False,

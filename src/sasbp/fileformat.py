@@ -34,7 +34,7 @@ import re
 from collections.abc import Sequence
 from itertools import chain
 
-from .core import Action, BoundedQuery, PartialState, PlanningInstance, Variable
+from .core import EMPTY_STATE, Action, BoundedQuery, PartialState, PlanningInstance, Variable
 from .steiner import SteinerInstance
 
 HEADER = "SASBP 1"
@@ -51,29 +51,33 @@ class FormatError(ValueError):
     """Raised on malformed input files; messages carry 1-based line numbers."""
 
 
-def _significant_lines(text: str):
+def _significant_lines(text: str) -> list[tuple[int, str, list[str]]]:
     """Line number, text and tokens of each line left non-blank once its
     comment is cut; every parser splits a line here and only here."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line, line.split()
+    raws = text.splitlines()
+    if "#" in text:
+        raws = [raw.split("#", 1)[0] for raw in raws]
+    numbered = enumerate(map(str.strip, raws), 1)
+    return [(lineno, line, line.split()) for lineno, line in numbered if line]
 
 
-def _parse_assignments(parts: list[str], lineno: int) -> dict[str, str]:
+def _parse_state(parts: list[str], lineno: int) -> PartialState:
+    """The NAME=VALUE tokens that follow a line's keyword, as a state."""
+    if len(parts) == 1:
+        return EMPTY_STATE
     out: dict[str, str] = {}
-    for token in parts:
+    for token in parts[1:]:
         name, sep, value = token.partition("=")
         if not sep or not name or not value:
             raise FormatError(f"line {lineno}: expected NAME=VALUE, got {token!r}")
         if name in out:
             raise FormatError(f"line {lineno}: {name!r} assigned twice")
         out[name] = value
-    return out
+    return PartialState(out)
 
 
-def _check_name(kind: str, name: str, lineno: int, allow_reserved: bool) -> None:
-    if name.startswith(RESERVED_PREFIX) and not allow_reserved:
+def _check_name(kind: str, name: str, lineno: int) -> None:
+    if name.startswith(RESERVED_PREFIX):
         raise FormatError(
             f"line {lineno}: {kind} name {name!r} uses the reserved '__' prefix "
             f"(pass allow_reserved to accept generated files)"
@@ -91,62 +95,72 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
     """
     # The var and action checks test the line, not its first token, so a
     # bare 'var' or 'action', or one followed by a tab, ends its section like
-    # any other line does.  Past the last line, the sentinel fails every
-    # check with line number '?'.
-    walk = chain(_significant_lines(text), [(None, "", [""])])
+    # any other line does.  The walk goes by index; past the last line, the
+    # sentinel fails every check with line number '?'.
+    lines = _significant_lines(text)
+    lines.append((None, "", [""]))
 
-    lineno, line, parts = next(walk)
+    lineno, line, parts = lines[0]
     if line != HEADER:
         raise FormatError(f"line {lineno or 1}: expected header {HEADER!r}")
 
     variables: list[Variable] = []
-    lineno, line, parts = next(walk)
+    i = 1
+    lineno, line, parts = lines[i]
     while line.startswith("var "):
         if len(parts) < 3:
             raise FormatError(f"line {lineno}: var needs a name and at least one value")
-        _check_name("variable", parts[1], lineno, allow_reserved)
+        if not allow_reserved:
+            _check_name("variable", parts[1], lineno)
         try:
             variables.append(Variable(parts[1], tuple(parts[2:])))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-        lineno, line, parts = next(walk)
+        i += 1
+        lineno, line, parts = lines[i]
 
     if parts[0] != "init":
         raise FormatError(f"line {lineno or '?'}: expected init line after variables")
-    init = _parse_assignments(parts[1:], lineno)
+    init = _parse_state(parts, lineno)
 
-    lineno, line, parts = next(walk)
+    i += 1
+    lineno, line, parts = lines[i]
     if parts[0] != "goal":
         raise FormatError(f"line {lineno or '?'}: expected goal line after init")
-    goal = _parse_assignments(parts[1:], lineno)
+    goal = _parse_state(parts, lineno)
 
     actions: list[Action] = []
-    lineno, line, parts = next(walk)
+    i += 1
+    lineno, line, parts = lines[i]
     while line.startswith("action "):
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: action takes exactly one name")
         name = parts[1]
-        _check_name("action", name, lineno, allow_reserved)
+        if not allow_reserved:
+            _check_name("action", name, lineno)
         block = []
         for keyword in ("pre", "eff"):
-            lineno, line, parts = next(walk)
+            i += 1
+            lineno, line, parts = lines[i]
             if parts[0] != keyword:
                 raise FormatError(
                     f"line {lineno or '?'}: expected {keyword} line in action {name!r}"
                 )
-            block.append(PartialState(_parse_assignments(parts[1:], lineno)))
-        lineno, line, parts = next(walk)
+            block.append(_parse_state(parts, lineno))
+        i += 1
+        lineno, line, parts = lines[i]
         if line != "end":
             raise FormatError(f"line {lineno or '?'}: expected end after action {name!r}")
         actions.append(Action(name, *block))
-        lineno, line, parts = next(walk)
+        i += 1
+        lineno, line, parts = lines[i]
 
     if parts[0] != "k":
         raise FormatError(f"line {lineno or '?'}: expected bound line 'k INT' last")
     if len(parts) != 2 or not INTEGER.fullmatch(parts[1]):
         raise FormatError(f"line {lineno}: expected 'k INT', got {line!r}")
     k = int(parts[1])
-    lineno, line, parts = next(walk)
+    lineno, line, parts = lines[i + 1]
     if lineno is not None:
         raise FormatError(f"line {lineno}: unexpected content after bound: {line!r}")
 
@@ -154,8 +168,8 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
         inst = PlanningInstance(
             variables=tuple(variables),
             actions=tuple(actions),
-            init=PartialState(init),
-            goal=PartialState(goal),
+            init=init,
+            goal=goal,
         )
         return BoundedQuery(inst, k)
     except ValueError as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .core import BoundedQuery, PlanningInstance, validate_plan
 from .oracle import DEFAULT_MAX_STATES, decide_bfs
-from .restrictions import GOOD, broken_variables, classify_effects
+from .restrictions import broken_variables
 from .steiner import SteinerInstance, SteinerSolution, extract_arborescence, solve_dst
 
 ROOT = "__root"
@@ -91,7 +91,7 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
             raise ValueError(
                 f"variable name {v.name!r} is reserved for the root and pair nodes"
             )
-    classes = classify_effects(inst)
+    goal = inst.goal
 
     weights: dict[tuple[str, str], int] = {}
     origin: dict[tuple[str, str], list[str]] = {}
@@ -106,9 +106,10 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
             raise ValueError("reduction requires actions without preconditions")
         if len(action.eff) > 2:
             raise ValueError("reduction requires at most two effects per action")
+        # good: it writes the goal value, or the goal leaves the variable free
         good, bad = [], []
-        for var in action.eff:
-            (good if classes.per_effect[(action.name, var)] == GOOD else bad).append(var)
+        for var, value in action.eff.items():
+            (good if goal.get(var, value) == value else bad).append(var)
         if good and bad:
             add((bad[0], good[0]), 1, action.name)
         elif len(good) == 1:

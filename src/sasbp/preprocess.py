@@ -27,7 +27,7 @@ from collections.abc import Sequence
 
 from .core import Action, BoundedQuery, PartialState, PlanningInstance, Variable
 from .planner02 import pick_method
-from .restrictions import GOOD, MIXED, classify_effects, strip_bad_actions
+from .restrictions import BAD, GOOD, MIXED, classify_effects
 
 G_VAR = "__g"
 G_RESET = "__ag"
@@ -77,11 +77,12 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
         if a.name.startswith("__"):
             raise ValueError(f"action {a.name!r} uses the reserved __ prefix")
 
-    inst = strip_bad_actions(query.instance)
-    dropped = [a.name for a in query.instance.actions if a not in inst.actions]
-    inst_actions = tuple(a for a in inst.actions if len(a.eff) > 0)
-    dropped.extend(a.name for a in inst.actions if len(a.eff) == 0)
+    inst = query.instance
     classes = classify_effects(inst)
+    # effect-free actions are vacuously good, so none of them is also bad
+    dropped = [a.name for a in inst.actions if classes.per_action[a.name] == BAD]
+    dropped += [a.name for a in inst.actions if not a.eff]
+    inst_actions = tuple(a for a in inst.actions if a.eff and classes.per_action[a.name] != BAD)
     k = query.k
 
     variables = list(inst.variables)
@@ -131,8 +132,8 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
     actions.append(Action(G_RESET, PartialState(), PartialState({G_VAR: "0"})))
 
     fresh_zero = {v.name: "0" for v in variables[len(inst.variables):]}
-    init = PartialState({**dict(inst.init), **fresh_zero})
-    goal = PartialState({**dict(inst.goal), **fresh_zero})
+    init = PartialState({**inst.init, **fresh_zero})
+    goal = PartialState({**inst.goal, **fresh_zero})
     transformed = PlanningInstance(tuple(variables), tuple(actions), init, goal)
     return Lemma1Output(
         instance=transformed,

@@ -96,28 +96,18 @@ def detect_profile(inst: PlanningInstance) -> RestrictionProfile:
     S: all prevail values agree, where a prevail entry of an action is a
        defined precondition on a variable the action does not affect.
     """
-    writers: dict[tuple[str, str], int] = {}
-    prevail: dict[str, set[str]] = {}
-    max_pre = 0
-    max_eff = 0
-    unary = True
-    for action in inst.actions:
-        max_pre = max(max_pre, len(action.pre))
-        max_eff = max(max_eff, len(action.eff))
-        if len(action.eff) != 1:
-            unary = False
-        for name, value in action.eff.items():
-            writers[(name, value)] = writers.get((name, value), 0) + 1
-        for name, value in action.pre.items():
-            if name not in action.eff:
-                prevail.setdefault(name, set()).add(value)
+    pres = [action.pre for action in inst.actions]
+    effs = [action.eff for action in inst.actions]
+    written = [entry for eff in effs for entry in eff.items()]
+    # distinct prevail (variable, value) entries; S fails when a variable has two
+    prevail = {entry for pre, eff in zip(pres, effs) for entry in pre.items() if entry[0] not in eff}
     return RestrictionProfile(
-        has_P=all(count <= 1 for count in writers.values()),
-        has_U=unary,
+        has_P=len(set(written)) == len(written),
+        has_U=set(map(len, effs)) <= {1},
         has_B=all(len(v.domain) == 2 for v in inst.variables),
-        has_S=all(len(values) <= 1 for values in prevail.values()),
-        max_preconditions=max_pre,
-        max_effects=max_eff,
+        has_S=len({name for name, _ in prevail}) == len(prevail),
+        max_preconditions=max(map(len, pres), default=0),
+        max_effects=max(map(len, effs), default=0),
     )
 
 

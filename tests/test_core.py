@@ -1,3 +1,6 @@
+import copy
+import operator
+import pickle
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -77,8 +80,53 @@ def test_partial_state_views_cannot_mutate_it():
 def test_partial_state_lookups_skip_the_mapping_mixins():
     # The Mapping mixins fetch each entry through __getitem__ in Python; the
     # model layer's hot loops rely on these being the dict's own.
-    for method in ("__contains__", "get", "keys", "items", "values"):
-        assert method in vars(PartialState), method
+    lookups = ("__getitem__", "__iter__", "__len__", "__contains__", "get", "keys", "items", "values")
+    for method in lookups:
+        assert getattr(PartialState, method) is getattr(dict, method), method
+
+
+MUTATORS = {
+    "setitem": lambda s: operator.setitem(s, "a", "0"),
+    "new item": lambda s: operator.setitem(s, "c", "1"),
+    "delitem": lambda s: operator.delitem(s, "a"),
+    "clear": lambda s: s.clear(),
+    "pop": lambda s: s.pop("a"),
+    "pop default": lambda s: s.pop("c", "1"),
+    "popitem": lambda s: s.popitem(),
+    "setdefault": lambda s: s.setdefault("c", "1"),
+    "update": lambda s: s.update({"a": "0"}),
+    "update keywords": lambda s: s.update(c="1"),
+    "ior": lambda s: operator.ior(s, {"a": "0"}),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS.keys())
+def test_partial_state_mutators_raise_and_change_nothing(mutate):
+    s = PartialState({"a": "1", "b": "0"})
+    before = hash(s)
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(s)
+    assert s == {"a": "1", "b": "0"} and tuple(s.items()) == (("a", "1"), ("b", "0"))
+    assert hash(s) == before == hash(PartialState({"a": "1", "b": "0"}))
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+}
+
+
+@pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES.keys())
+@pytest.mark.parametrize("entries", [{}, {"a": "1", "b": "0"}])
+def test_partial_state_copies_are_equal_read_only_states(duplicate, entries):
+    s = PartialState(entries)
+    twin = duplicate(s)
+    assert type(twin) is PartialState
+    assert twin == s and tuple(twin.items()) == tuple(s.items())
+    assert hash(twin) == hash(s)
+    with pytest.raises(TypeError):
+        twin["c"] = "1"
 
 
 def test_partial_state_rejects_non_strings():
@@ -113,6 +161,69 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="duplicate action"):
         a = Action("x", EMPTY_STATE, EMPTY_STATE)
         PlanningInstance((v,), (a, a), PartialState({"a": "0"}), EMPTY_STATE)
+
+
+def _instance_with(init=None, goal=None, pre=None, eff=None) -> PlanningInstance:
+    """Variables a in 0..1 and b in 0..2, then actions "first" (clean),
+    "second" (with the given pre and eff) and "third", whose effect names an
+    unknown variable, so that every case has a later culprit as well."""
+    variables = (Variable("a", ("0", "1")), Variable("b", ("0", "1", "2")))
+    actions = (
+        Action("first", EMPTY_STATE, PartialState({"a": "1"})),
+        Action("second", PartialState(pre or {}), PartialState(eff or {"b": "2"})),
+        Action("third", EMPTY_STATE, PartialState({"zz": "1"})),
+    )
+    init = PartialState(init or {"a": "0", "b": "0"})
+    return PlanningInstance(variables, actions, init, PartialState(goal or {}))
+
+
+CULPRITS = {
+    "init unknown": (
+        {"init": {"a": "0", "q": "1", "b": "9"}},
+        "init references unknown variable 'q'",
+    ),
+    "init off-domain": (
+        {"init": {"a": "5", "b": "0", "q": "1"}},
+        "init assigns 'a' the value '5', which is outside its domain",
+    ),
+    "goal unknown": (
+        {"goal": {"q": "1", "b": "9"}},
+        "goal references unknown variable 'q'",
+    ),
+    "goal off-domain": (
+        {"goal": {"a": "1", "b": "9", "q": "1"}},
+        "goal assigns 'b' the value '9', which is outside its domain",
+    ),
+    "pre unknown": (
+        {"pre": {"a": "1", "q": "1"}},
+        "pre of 'second' references unknown variable 'q'",
+    ),
+    "pre off-domain": (
+        {"pre": {"b": "3", "q": "1"}, "eff": {"b": "7"}},
+        "pre of 'second' assigns 'b' the value '3', which is outside its domain",
+    ),
+    "eff unknown": (
+        {"pre": {"a": "1"}, "eff": {"b": "1", "q": "1", "a": "7"}},
+        "eff of 'second' references unknown variable 'q'",
+    ),
+    "eff off-domain": (
+        {"eff": {"a": "2", "q": "1"}},
+        "eff of 'second' assigns 'a' the value '2', which is outside its domain",
+    ),
+}
+
+
+@pytest.mark.parametrize("fields, message", CULPRITS.values(), ids=CULPRITS.keys())
+def test_instance_names_the_first_culprit(fields, message):
+    with pytest.raises(ValueError) as info:
+        _instance_with(**fields)
+    assert str(info.value) == message
+
+
+def test_instance_check_reaches_the_last_action():
+    with pytest.raises(ValueError) as info:
+        _instance_with()
+    assert str(info.value) == "eff of 'third' references unknown variable 'zz'"
 
 
 def test_apply_and_validity():

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sasbp.core import Action, PartialState, validate_plan  # noqa: E402
 from sasbp.fileformat import FormatError, parse_instance, write_instance  # noqa: E402
 from sasbp import steiner  # noqa: E402
-from sasbp.planner02 import reduce_to_steiner  # noqa: E402
+from sasbp.oracle import decide_bfs  # noqa: E402
+from sasbp.planner02 import reduce_to_steiner, solve  # noqa: E402
 from sasbp.steiner import (  # noqa: E402
     SteinerInstance,
     brute_dst,
@@ -239,6 +240,62 @@ def test_packed_oracle_agrees_with_tuple_reference():
     assert sizes == {1, 2, 3, 4, 5}
     # YES, NO, an exhausted budget, a variable without a goal and a
     # precondition each turn up in more than a tenth of the examples
+    assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
+
+
+@st.composite
+def task_02(draw):
+    """A (0, <=2) task over two to five variables of two to four values.
+    The goal leaves some variables free, so an effect on them is good
+    whatever it writes; each action has one or two effects and no
+    precondition."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+    size = {f"v{i}": n for i, n in enumerate(sizes)}
+
+    def partial(least: int, most: int) -> dict:
+        names = st.sampled_from(sorted(size))
+        picked = draw(st.lists(names, min_size=least, max_size=most, unique=True))
+        return {n: str(draw(st.integers(0, size[n] - 1))) for n in picked}
+
+    init = partial(len(size), len(size))
+    goal = partial(1, len(size))
+    actions = [(f"a{j}", {}, partial(1, 2)) for j in range(draw(st.integers(1, 7)))]
+    return make_query(size, actions, init, goal, draw(st.integers(0, 5)))
+
+
+def test_solve_agrees_with_the_oracle_on_02_tasks():
+    seen = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(task_02())
+    def check(query):
+        inst = query.instance
+        fast = solve(query)
+        slow = decide_bfs(query)
+        assert fast.method == "fpt02"
+        assert fast.decision == slow.decision
+        assert fast.plan_length == slow.shortest_length
+        if fast.decision:
+            assert validate_plan(inst, fast.witness).valid
+        goal = inst.goal
+        kinds = [
+            [goal.get(var, value) == value for var, value in a.eff.items()]
+            for a in inst.actions
+        ]
+        seen.append((
+            fast.decision,
+            not fast.decision,
+            any(len(v.domain) > 2 for v in inst.variables),
+            # a good effect on a goal-free variable
+            any(v not in goal for a in inst.actions for v in a.eff),
+            any(True in k and False in k for k in kinds),
+            any(k == [True, True] for k in kinds),
+        ))
+
+    check()
+    # YES, NO, a domain of three or more values, a goal-free write, a mixed
+    # action and a two-effect good action (a pair node) each turn up in more
+    # than a tenth of the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 

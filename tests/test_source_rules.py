@@ -1,6 +1,7 @@
 """Rules on the package source itself, checked with `ast`."""
 
 import ast
+import sys
 from pathlib import Path
 
 import sasbp
@@ -69,3 +70,25 @@ def test_every_public_definition_is_exported_or_used():
     assert len(defined) > 40
     unread = [name for name in defined if name not in sasbp.__all__ and name not in named]
     assert unread == []
+
+
+def test_package_imports_only_the_standard_library():
+    # The package promises to run on a bare Python: every absolute import is
+    # the package itself or a standard-library module.
+    found, seen = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            seen += len(modules)
+            found += [
+                f"{path.name}:{node.lineno} {module}"
+                for module in modules
+                if module.split(".")[0] not in sys.stdlib_module_names | {"sasbp"}
+            ]
+    assert seen > 20
+    assert found == []
