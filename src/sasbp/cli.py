@@ -306,6 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sasbp", description="bounded plan length planning toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = (
+        "the oracle's cap on expanded and on stored states, stored ones checked once per"
+        f" expansion (default {DEFAULT_MAX_STATES:,})"
+    )
 
     def add_instance_arg(p):
         p.add_argument("instance", help="instance file (.sasbp)")
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_arg(p)
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--plan-out", help="write the witness plan here on YES")
-    p.add_argument("--max-states", type=_state_budget, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_state_budget, default=DEFAULT_MAX_STATES, help=budget)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -386,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="solve every instance in a directory")
     p.add_argument("dir", help="directory of .sasbp files")
     p.add_argument("--out", required=True, help="CSV report path")
-    p.add_argument("--max-states", type=_state_budget, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_state_budget, default=DEFAULT_MAX_STATES, help=budget)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -22,17 +22,24 @@ applicable successor of it is stored, so p + a, and in case (ii) its
 successor by b, are stored before s is expanded.  The skipped candidates are
 duplicates the search would have dropped, and every store, the queue order,
 the count of expanded states and the witness are those of the full search.
+
+The search walks one level at a time: packed states beside the actions that
+stored them, which pick their moves, and a map from each stored state to the
+state that stored it, so no tuple is made per state.  The witness follows the
+map back, each step the first declared action applicable at the parent that
+leads to the child.  That action stored the child: an earlier one in the
+parent's move list would have stored it first, and an earlier skipped one leads
+to a state stored before the parent was expanded, which the child was not.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import BoundedQuery, ResourceLimitError
 
-# A stored state of a 115-variable task costs ~210 bytes: 440 MB at the budget,
-# which a forced search of compose-02 k=3 t=2 reaches in about 3 s (2 vCPUs, Python 3.11).
+# A stored state of a 115-variable task costs ~116 bytes: 240 MB at the budget,
+# which a forced search of compose-02 k=3 t=2 reaches in about 2.4 s (2 vCPUs, Python 3.11).
 DEFAULT_MAX_STATES = 2_000_000
 
 
@@ -76,6 +83,19 @@ def _redundant(a: int, b: int, actions) -> bool:
     return a < b and not b_pre & a_eff and not (a_bits ^ b_bits) & a_eff & b_eff
 
 
+def _witness(state: int, parent: dict, inst, actions) -> tuple[str, ...]:
+    """The plan that stored state, read back along the parent links."""
+    steps = []
+    while (before := parent[state]) is not None:
+        steps.append(next(
+            action.name
+            for action, (pre_mask, pre_bits, eff_mask, eff_bits) in zip(inst.actions, actions)
+            if before & pre_mask == pre_bits and (before & ~eff_mask) | eff_bits == state
+        ))
+        state = before
+    return tuple(reversed(steps))
+
+
 def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> OracleResult:
     """Decide whether a plan of length at most k exists.
 
@@ -84,49 +104,55 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
     A state first stored by action b tries only the actions that neither cover
     b nor commute with it from an earlier declaration (module docstring): the
     others lead to stored states, so the result is that of the full search.
+    Levels are lists with int parent links; the witness is recomputed from them.
     """
-    inst = query.instance
+    inst, k = query.instance, query.k
     pack, actions = _packed(inst)
     everything, start = pack(inst.init)  # init is total: its mask is every field
     goal_mask, goal_bits = pack(inst.goal)
-    moves = [
+    guarded = any(pre_mask for pre_mask, _, _, _ in actions)
+    moves = [  # (index, keep, bits) when no action has a precondition
         (index, pre_mask, pre_bits, everything ^ eff_mask, eff_bits)
+        if guarded else (index, everything ^ eff_mask, eff_bits)
         for index, (pre_mask, pre_bits, eff_mask, eff_bits) in enumerate(actions)
     ]
-    after: list[list | None] = [None] * len(moves)  # moves to try, by generator
+    after: list[list | None] = [None] * len(moves) + [moves]  # moves to try, by generator
 
-    came_from: dict[int, tuple[int, int] | None] = {start: None}
-    queue = deque([(start, 0)])
-    explored = 0
-    while queue:
-        state, depth = queue.popleft()
-        explored += 1
-        if explored > max_states or len(came_from) > max_states:
-            raise ResourceLimitError(
-                f"state budget of {max_states} exhausted at depth {depth}: "
-                f"{explored} states expanded, {len(came_from)} stored"
-            )
-        if state & goal_mask == goal_bits:
-            steps, cursor = [], state
-            while came_from[cursor] is not None:
-                cursor, action_index = came_from[cursor]
-                steps.append(inst.actions[action_index].name)
-            return OracleResult(True, tuple(reversed(steps)), explored, depth)
-        if depth == query.k:
-            continue
-        link = came_from[state]
-        if link is None:
-            tries = moves
-        else:
-            b = link[1]
+    parent: dict[int, int | None] = {start: None}
+    level, made_by = [start], [len(moves)]  # the start's sentinel n tries every move
+    explored = depth = 0
+    while level:
+        states, generators = [], []
+        store, note = states.append, generators.append
+        for state, b in zip(level, made_by):
+            explored += 1
+            if explored > max_states or len(parent) > max_states:
+                raise ResourceLimitError(
+                    f"state budget of {max_states} exhausted at depth {depth}: "
+                    f"{explored} states expanded, {len(parent)} stored"
+                )
+            if state & goal_mask == goal_bits:
+                return OracleResult(True, _witness(state, parent, inst, actions), explored, depth)
+            if depth == k:
+                continue
             tries = after[b]
             if tries is None:
                 tries = after[b] = [m for m in moves if not _redundant(m[0], b, actions)]
-        for action_index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
-            if state & pre_mask != pre_bits:
-                continue
-            successor = (state & keep_mask) | eff_bits
-            if successor not in came_from:
-                came_from[successor] = (state, action_index)
-                queue.append((successor, depth + 1))
+            if guarded:
+                for index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
+                    if state & pre_mask == pre_bits:
+                        successor = (state & keep_mask) | eff_bits
+                        if successor not in parent:
+                            parent[successor] = state
+                            store(successor)
+                            note(index)
+            else:
+                for index, keep_mask, eff_bits in tries:
+                    successor = (state & keep_mask) | eff_bits
+                    if successor not in parent:
+                        parent[successor] = state
+                        store(successor)
+                        note(index)
+        level, made_by = states, generators
+        depth += 1
     return OracleResult(False, None, explored, None)

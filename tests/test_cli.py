@@ -559,6 +559,17 @@ class TestErrorsAndEntry:
         assert f"argument --max-states: state budget must be at least 1, got {budget}" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_max_states_help_says_what_the_budget_bounds(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert (
+            "--max-states MAX_STATES the oracle's cap on expanded and on stored states,"
+            " stored ones checked once per expansion (default 2,000,000)"
+        ) in text
+
     @staticmethod
     def _run_declared_script(*argv):
         """Run the `sasbp` target from `[project.scripts]` the way the

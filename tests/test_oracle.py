@@ -58,6 +58,40 @@ def test_witness_prefers_earlier_declared_actions():
     assert decide_bfs(q).witness == ("left",)
 
 
+@pytest.mark.parametrize("order", [("x1", "x1y0"), ("x1y0", "x1")], ids=["x1_first", "x1y0_first"])
+def test_witness_names_the_earlier_of_two_actions_into_one_child(order):
+    # from the depth-1 parent z=1 both x1 and x1y0 lead to the goal x=1 z=1,
+    # since y is already 0; the one declared first stored the child
+    effects = {"x1": {"x": "1"}, "x1y0": {"x": "1", "y": "0"}}
+    q = make_query(
+        dict.fromkeys("xyz", 2),
+        [("set_z", {}, {"z": "1"}), *((name, {}, effects[name]) for name in order)],
+        dict.fromkeys("xyz", "0"),
+        {"x": "1", "z": "1"},
+        2,
+    )
+    result = same_as_tuple_bfs(q)
+    assert result.witness == ("set_z", order[0])
+    assert result.shortest_length == 2
+
+
+def test_witness_skips_an_earlier_action_the_cover_rule_pruned():
+    # set_y stores y=1; reset_y covers set_y, so y=1 never tries it, yet it
+    # is declared first and applicable there: the walk must pass over it
+    q = make_query(
+        {"x": 2, "y": 2},
+        [("reset_y", {}, {"y": "0"}), ("set_y", {}, {"y": "1"}), ("set_x", {}, {"x": "1"})],
+        {"x": "0", "y": "0"},
+        {"x": "1", "y": "1"},
+        2,
+    )
+    _, actions = _packed(q.instance)
+    assert _redundant(0, 1, actions)
+    result = same_as_tuple_bfs(q)
+    assert result.witness == ("set_y", "set_x")
+    assert validate_plan(q.instance, result.witness).valid
+
+
 def test_unreachable_goal_is_no():
     q = make_query({"a": 2}, [("down", {}, {"a": "0"})], {"a": "0"}, {"a": "1"}, 4)
     result = decide_bfs(q)

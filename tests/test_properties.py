@@ -244,6 +244,54 @@ def test_packed_oracle_agrees_with_tuple_reference():
 
 
 @st.composite
+def task_0e(draw):
+    """A (0, <=3) task, the fragment of the paper's W[1]-hard clique gadget:
+    one to four variables of one to four values, no precondition and one to
+    three effects per action.  The goal may leave any variable out, and each
+    goal variable with a choice wants a value other than its initial one."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    size = {f"v{i}": n for i, n in enumerate(sizes)}
+
+    def partial(least: int, most: int) -> dict:
+        names = st.sampled_from(sorted(size))
+        picked = draw(st.lists(names, min_size=least, max_size=most, unique=True))
+        return {n: str(draw(st.integers(0, size[n] - 1))) for n in picked}
+
+    init = partial(len(size), len(size))
+    goal = {
+        n: str((int(init[n]) + draw(st.integers(1, max(1, size[n] - 1)))) % size[n])
+        for n in partial(1, len(size))
+    }
+    actions = [(f"a{j}", {}, partial(1, 3)) for j in range(draw(st.integers(1, 8)))]
+    return make_query(size, actions, init, goal, draw(st.integers(1, 5)))
+
+
+def test_precondition_free_oracle_agrees_with_tuple_reference_at_every_budget():
+    seen = []
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(task_0e())
+    def check(query):
+        result = same_as_tuple_bfs(query)
+        # every budget from one state up to one past the states expanded
+        limited = [
+            same_as_tuple_bfs(query, max_states=budget) is None
+            for budget in range(1, result.explored_states + 2)
+        ]
+        seen.append((
+            result.decision,
+            not result.decision,
+            any(limited),
+            any(len(a.eff) == 3 for a in query.instance.actions),
+        ))
+
+    check()
+    # YES, NO, an exhausted budget and a three-effect action each turn up in
+    # more than a tenth of the examples
+    assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
+
+
+@st.composite
 def task_02(draw):
     """A (0, <=2) task over two to five variables of two to four values.
     The goal leaves some variables free, so an effect on them is good
