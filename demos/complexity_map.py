@@ -8,7 +8,6 @@ from sasbp import (
     ARBITRARY,
     detect_profile,
     gen_or2,
-    lookup_complexity,
     lookup_pe,
     lookup_pubs,
 )
@@ -44,8 +43,8 @@ def main():
     ):
         profile = detect_profile(inst)
         flags = "".join(f for f in "PUBS" if f in profile.flags()) or "-"
-        by_pe = lookup_complexity(profile)
-        by_flags = lookup_complexity(profile, pubs_mode=True)
+        by_pe = lookup_pe(profile.max_preconditions, profile.max_effects)
+        by_flags = lookup_pubs(profile.flags())
         print(f"{label}: p={profile.max_preconditions} e={profile.max_effects} flags={flags}")
         print(f"  numeric: {by_pe.classical}, {by_pe.parameterized}")
         print(f"  flags:   {by_flags.classical}, {by_flags.parameterized}")

@@ -57,15 +57,12 @@ from .preprocess import Lemma1Output, chain_bound, lemma1_transform, lift_plan
 from .restrictions import (
     ARBITRARY,
     ClassificationRecord,
-    EffectClassification,
     RestrictionProfile,
     broken_variables,
-    classify_effects,
     detect_profile,
-    lookup_complexity,
     lookup_pe,
     lookup_pubs,
-    strip_bad_actions,
+    split_effects,
 )
 from .steiner import SteinerInstance, SteinerSolution, brute_dst, extract_arborescence, solve_dst
 
@@ -77,7 +74,6 @@ __all__ = [
     "BoundedQuery",
     "ClassificationRecord",
     "EMPTY_STATE",
-    "EffectClassification",
     "FormatError",
     "GadgetOutput",
     "Lemma1Output",
@@ -97,7 +93,6 @@ __all__ = [
     "broken_variables",
     "brute_dst",
     "chain_bound",
-    "classify_effects",
     "compose_or_02",
     "compose_or_pub",
     "decide_bfs",
@@ -111,7 +106,6 @@ __all__ = [
     "is_valid_in",
     "lemma1_transform",
     "lift_plan",
-    "lookup_complexity",
     "lookup_pe",
     "lookup_pubs",
     "or_input_02",
@@ -125,7 +119,7 @@ __all__ = [
     "solve",
     "solve_02",
     "solve_dst",
-    "strip_bad_actions",
+    "split_effects",
     "validate_plan",
     "write_instance",
     "write_plan",

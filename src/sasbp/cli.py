@@ -43,7 +43,7 @@ from .gadgets import (
 )
 from .oracle import DEFAULT_MAX_STATES
 from .planner02 import METHODS, pick_method, reduce_to_steiner, solve
-from .restrictions import detect_profile, lookup_complexity
+from .restrictions import detect_profile, lookup_pe, lookup_pubs
 from .steiner import solve_dst
 
 EXIT_YES = 0
@@ -70,10 +70,10 @@ def cmd_classify(args) -> int:
     profile = detect_profile(query.instance)
     flags = "".join(f for f in "PUBS" if f in profile.flags()) or "-"
     try:
-        pe = lookup_complexity(profile)
+        pe = lookup_pe(profile.max_preconditions, profile.max_effects)
     except ValueError:
         pe = None
-    pubs = lookup_complexity(profile, pubs_mode=True)
+    pubs = lookup_pubs(profile.flags())
     if args.json:
         payload = {
             "flags": flags,
@@ -143,7 +143,7 @@ def cmd_preprocess(args) -> int:
     query = _read_query(args)
     out = lemma1_transform(query)
     Path(args.out).write_text(write_instance(BoundedQuery(out.instance, out.k_prime)))
-    print(f"chain transform: k {out.source_k} -> k' {out.k_prime}")
+    print(f"chain transform: k {query.k} -> k' {out.k_prime}")
     print(f"actions: {len(query.instance.actions)} -> {len(out.instance.actions)}")
     if out.dropped_actions:
         print(f"dropped (bad or effect-free): {', '.join(out.dropped_actions)}")

@@ -33,7 +33,7 @@ from .core import (
     validate_plan,
 )
 from .planner02 import pick_method
-from .preprocess import Lemma1Output, chain_bound, lemma1_transform, lift_plan
+from .preprocess import G_RESET, G_VAR, Lemma1Output, chain_bound, lemma1_transform, lift_plan
 from .restrictions import broken_variables, detect_profile
 
 BINARY = ("0", "1")
@@ -574,7 +574,7 @@ def compose_or_02(inputs) -> GadgetOutput:
     for i, tr in enumerate(transforms, 1):
         prefix = f"inst{i}."
         for a in tr.instance.actions:
-            if a.name == tr.g_reset_action:
+            if a.name == G_RESET:
                 continue
             actions.append(Action(f"{prefix}{a.name}", a.pre, _namespaced(prefix, a.eff)))
         actions.append(
@@ -596,7 +596,7 @@ def compose_or_02(inputs) -> GadgetOutput:
             Action(
                 f"sel.a{i}.g",
                 EMPTY_STATE,
-                PartialState({pebbles[(i, 2 * kp - 1)]: "1", f"{prefix}{tr.g_var}": "0"}),
+                PartialState({pebbles[(i, 2 * kp - 1)]: "1", f"{prefix}{G_VAR}": "0"}),
             )
         )
         bset = broken[i - 1]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .core import BoundedQuery, PlanningInstance, validate_plan
 from .oracle import DEFAULT_MAX_STATES, decide_bfs
-from .restrictions import broken_variables
+from .restrictions import broken_variables, split_effects
 from .steiner import SteinerInstance, SteinerSolution, extract_arborescence, solve_dst
 
 ROOT = "__root"
@@ -91,7 +91,6 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
             raise ValueError(
                 f"variable name {v.name!r} is reserved for the root and pair nodes"
             )
-    goal = inst.goal
 
     weights: dict[tuple[str, str], int] = {}
     origin: dict[tuple[str, str], list[str]] = {}
@@ -106,10 +105,7 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
             raise ValueError("reduction requires actions without preconditions")
         if len(action.eff) > 2:
             raise ValueError("reduction requires at most two effects per action")
-        # good: it writes the goal value, or the goal leaves the variable free
-        good, bad = [], []
-        for var, value in action.eff.items():
-            (good if goal.get(var, value) == value else bad).append(var)
+        good, bad = split_effects(action, inst.goal)
         if good and bad:
             add((bad[0], good[0]), 1, action.name)
         elif len(good) == 1:

@@ -9,11 +9,17 @@ length l at bound k corresponds to a transformed plan of length
 l * (k + 3) + 1 at the new bound k' = k * (k + 3) + 1, and solvability is
 preserved in both directions.
 
-Chains work like a ratchet: using any part of one forces essentially all of
-it, so short transformed plans cannot cherry-pick single effects.  Chains
-for good source actions additionally raise a fresh flag variable that only
-the reset action clears, which later constructions exploit to detect that a
-good action was used.
+Bad actions (every effect bad in the sense of restrictions.split_effects)
+and effect-free ones never occur in a minimal plan and are dropped.  Every
+other action becomes one chain with two inputs: a head, which is its bad
+effect or, when it has none, the flag G_VAR = 1; and its m good effects
+(1 or 2).  Step 1 writes the head and clears the first counter, steps
+2..L with L = k + 3 - m each set one counter and clear the next, and steps
+L + 1.. each set counter L and write one good effect.  Chains work like a
+ratchet: using any part of one forces essentially all of it, so short
+transformed plans cannot cherry-pick single effects.  The flag raised by a
+good action's chain is cleared only by the reset action G_RESET, which later
+constructions exploit to detect that a good action was used.
 
 Fresh names carry the reserved double-underscore prefix, which the text
 format refuses in hand-written input, so transformed instances are
@@ -27,7 +33,7 @@ from collections.abc import Sequence
 
 from .core import Action, BoundedQuery, PartialState, PlanningInstance, Variable
 from .planner02 import pick_method
-from .restrictions import BAD, GOOD, MIXED, classify_effects
+from .restrictions import split_effects
 
 G_VAR = "__g"
 G_RESET = "__ag"
@@ -39,16 +45,13 @@ class Lemma1Output:
     """Transformed instance plus provenance back to the source instance.
 
     provenance maps each chain action name to (source action name, chain
-    index); the reset action is not in the map.  chain_vars lists the fresh
-    counter variables per source action.
+    index); the reset action G_RESET, which clears the flag G_VAR, is not in
+    the map.  chain_vars lists the fresh counter variables per source action.
     """
 
     instance: PlanningInstance
     k_prime: int
-    source_k: int
     provenance: dict[str, tuple[str, int]]
-    g_var: str
-    g_reset_action: str
     chain_vars: dict[str, tuple[str, ...]]
     dropped_actions: tuple[str, ...]
 
@@ -61,7 +64,7 @@ def chain_bound(k: int) -> int:
 def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
     """Rewrite a (0, <=2) task so no good action has two effects.
 
-    Bad actions are stripped first; they never occur in a minimal plan.
+    dropped_actions lists the bad actions, then the effect-free ones.
     Rejects instances with preconditions, more than two effects per action,
     or reserved double-underscore names.
     """
@@ -77,18 +80,19 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
         if a.name.startswith("__"):
             raise ValueError(f"action {a.name!r} uses the reserved __ prefix")
 
-    inst = query.instance
-    classes = classify_effects(inst)
-    # effect-free actions are vacuously good, so none of them is also bad
-    dropped = [a.name for a in inst.actions if classes.per_action[a.name] == BAD]
-    dropped += [a.name for a in inst.actions if not a.eff]
-    inst_actions = tuple(a for a in inst.actions if a.eff and classes.per_action[a.name] != BAD)
-    k = query.k
+    inst, k = query.instance, query.k
+    kept, bad_only, effect_free = [], [], []
+    for action in inst.actions:
+        good, bad = split_effects(action, inst.goal)
+        if good:
+            kept.append((action, good, bad))
+        else:
+            (bad_only if bad else effect_free).append(action.name)
 
     variables = list(inst.variables)
     variables.append(Variable(G_VAR, _BIN))
     chain_vars: dict[str, tuple[str, ...]] = {}
-    for action in inst_actions:
+    for action, _, _ in kept:
         names = tuple(f"__v{i}__{action.name}" for i in range(1, k + 3))
         chain_vars[action.name] = names
         variables.extend(Variable(n, _BIN) for n in names)
@@ -101,33 +105,15 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
         actions.append(Action(name, PartialState(), PartialState(eff)))
         provenance[name] = (source, index)
 
-    for action in inst_actions:
+    for action, good, bad in kept:
         chain = chain_vars[action.name]
-        effects = list(action.eff.items())
-        if classes.per_action[action.name] == MIXED:
-            (good_var, good_val), (bad_var, bad_val) = _split_mixed(
-                action, classes.per_effect
-            )
-            emit(action.name, 1, {bad_var: bad_val, chain[0]: "0"})
-            for i in range(2, k + 3):
-                emit(action.name, i, {chain[i - 2]: "1", chain[i - 1]: "0"})
-            emit(action.name, k + 3, {chain[k + 1]: "1", good_var: good_val})
-        elif len(effects) == 1:
-            # Good action with one effect.
-            (var, val), = effects
-            emit(action.name, 1, {G_VAR: "1", chain[0]: "0"})
-            for i in range(2, k + 3):
-                emit(action.name, i, {chain[i - 2]: "1", chain[i - 1]: "0"})
-            emit(action.name, k + 3, {chain[k + 1]: "1", var: val})
-        else:
-            # Good action with two effects: both chain tails consume the
-            # same counter, one per effect, in declaration order.
-            (var_a, val_a), (var_b, val_b) = effects
-            emit(action.name, 1, {G_VAR: "1", chain[0]: "0"})
-            for i in range(2, k + 2):
-                emit(action.name, i, {chain[i - 2]: "1", chain[i - 1]: "0"})
-            emit(action.name, k + 2, {chain[k]: "1", var_a: val_a})
-            emit(action.name, k + 3, {chain[k]: "1", var_b: val_b})
+        head = {bad[0]: action.eff[bad[0]]} if bad else {G_VAR: "1"}
+        last = k + 3 - len(good)
+        emit(action.name, 1, {**head, chain[0]: "0"})
+        for i in range(2, last + 1):
+            emit(action.name, i, {chain[i - 2]: "1", chain[i - 1]: "0"})
+        for i, var in enumerate(good, last + 1):
+            emit(action.name, i, {chain[last - 1]: "1", var: action.eff[var]})
 
     actions.append(Action(G_RESET, PartialState(), PartialState({G_VAR: "0"})))
 
@@ -138,25 +124,10 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
     return Lemma1Output(
         instance=transformed,
         k_prime=chain_bound(k),
-        source_k=k,
         provenance=provenance,
-        g_var=G_VAR,
-        g_reset_action=G_RESET,
         chain_vars=chain_vars,
-        dropped_actions=tuple(dropped),
+        dropped_actions=tuple(bad_only + effect_free),
     )
-
-
-def _split_mixed(action: Action, per_effect) -> tuple[tuple[str, str], tuple[str, str]]:
-    good = bad = None
-    for name, value in action.eff.items():
-        if per_effect[(action.name, name)] == GOOD:
-            good = (name, value)
-        else:
-            bad = (name, value)
-    if good is None or bad is None:
-        raise ValueError(f"action {action.name!r} needs one good and one bad effect")
-    return good, bad
 
 
 def lift_plan(
@@ -183,5 +154,5 @@ def lift_plan(
         for _, name in sorted(by_source[source_name], reverse=True):
             steps.append(name)
     if include_g_reset:
-        steps.append(out.g_reset_action)
+        steps.append(G_RESET)
     return tuple(steps)

@@ -1,4 +1,4 @@
-"""Syntactic restrictions, goal-relative effect classes, and complexity lookup.
+"""Syntactic restrictions, the goal-relative effect split, and complexity lookup.
 
 Two restriction families are tracked:
 
@@ -7,21 +7,18 @@ Two restriction families are tracked:
 * the numeric profile (p, e): the maximum number of defined precondition
   and effect entries over all actions.
 
-Effects are classed relative to the goal: an effect is good when it writes
-the goal value (or the goal leaves the variable free) and bad otherwise.
-Actions are good, bad or mixed accordingly.  Bad actions can be deleted from
-any valid plan, so stripping them preserves solvability at every bound.
+split_effects splits an action's effects relative to the goal: an effect is
+good when it writes the goal value (or the goal leaves the variable free)
+and bad otherwise.  An action with only bad effects can be deleted from any
+valid plan, so the Steiner reduction and the chain transform both skip it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 
-from .core import PlanningInstance
-
-GOOD = "good"
-BAD = "bad"
-MIXED = "mixed"
+from .core import Action, PlanningInstance
 
 IN_P = "in P"
 NP_COMPLETE = "NP-complete"
@@ -65,19 +62,6 @@ class RestrictionProfile:
 
 
 @dataclass(frozen=True)
-class EffectClassification:
-    """Goal-relative classes for every defined effect and every action.
-
-    per_effect maps (action name, variable name) to good/bad; per_action maps
-    action names to good/bad/mixed.  Actions without effects are vacuously
-    good.
-    """
-
-    per_effect: dict[tuple[str, str], str]
-    per_action: dict[str, str]
-
-
-@dataclass(frozen=True)
 class ClassificationRecord:
     """One entry of the complexity tables."""
 
@@ -111,27 +95,14 @@ def detect_profile(inst: PlanningInstance) -> RestrictionProfile:
     )
 
 
-def classify_effects(inst: PlanningInstance) -> EffectClassification:
-    per_effect: dict[tuple[str, str], str] = {}
-    per_action: dict[str, str] = {}
-    for action in inst.actions:
-        good_seen = False
-        bad_seen = False
-        for name, value in action.eff.items():
-            goal_value = inst.goal.get(name)
-            cls = GOOD if goal_value is None or goal_value == value else BAD
-            per_effect[(action.name, name)] = cls
-            if cls == GOOD:
-                good_seen = True
-            else:
-                bad_seen = True
-        if bad_seen and good_seen:
-            per_action[action.name] = MIXED
-        elif bad_seen:
-            per_action[action.name] = BAD
-        else:
-            per_action[action.name] = GOOD
-    return EffectClassification(per_effect, per_action)
+def split_effects(action: Action, goal: Mapping[str, str]) -> tuple[list[str], list[str]]:
+    """The variables of an action's good and of its bad effects, each in
+    effect order.  An effect is good when it writes the goal value or the goal
+    leaves its variable free."""
+    good, bad = [], []
+    for var, value in action.eff.items():
+        (good if goal.get(var, value) == value else bad).append(var)
+    return good, bad
 
 
 def broken_variables(inst: PlanningInstance) -> tuple[str, ...]:
@@ -145,17 +116,6 @@ def broken_variables(inst: PlanningInstance) -> tuple[str, ...]:
         for v in inst.variables
         if v.name in inst.goal and inst.init[v.name] != inst.goal[v.name]
     )
-
-
-def strip_bad_actions(inst: PlanningInstance) -> PlanningInstance:
-    """Drop actions whose effects are all bad.  Preserves solvability at
-    every plan length bound, since bad actions can be deleted from any valid
-    plan without breaking validity."""
-    classes = classify_effects(inst)
-    kept = tuple(a for a in inst.actions if classes.per_action[a.name] != BAD)
-    if len(kept) == len(inst.actions):
-        return inst
-    return replace(inst, actions=kept)
 
 
 # (p, e) table.  Rows: p = 0, 1, fixed > 1, arbitrary; columns: e = 1, 2,
@@ -238,13 +198,3 @@ def lookup_pubs(flags: frozenset[str] | set[str] | str) -> ClassificationRecord:
         raise ValueError(f"unknown restriction flags: {sorted(unknown)}")
     return _pubs_record(flags)
 
-
-def lookup_complexity(profile: RestrictionProfile, pubs_mode: bool = False) -> ClassificationRecord:
-    """Classify an instance's problem family by its detected profile.
-
-    With pubs_mode the lookup keys on the structural flags, otherwise on the
-    (p, e) buckets.  Instances with e = 0 fall outside the classified range.
-    """
-    if pubs_mode:
-        return lookup_pubs(profile.flags())
-    return lookup_pe(profile.max_preconditions, profile.max_effects)

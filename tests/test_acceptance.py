@@ -34,8 +34,6 @@ from sasbp.planner02 import reduce_to_steiner, solve_02
 from sasbp.preprocess import chain_bound, lemma1_transform
 from sasbp.restrictions import (
     ARBITRARY,
-    BAD,
-    GOOD,
     IN_FPT,
     IN_P,
     KERNEL_CONSTANT,
@@ -47,9 +45,9 @@ from sasbp.restrictions import (
     W1_COMPLETE,
     W2_COMPLETE,
     ClassificationRecord,
-    classify_effects,
     lookup_pe,
     lookup_pubs,
+    split_effects,
 )
 from sasbp.steiner import SteinerInstance, brute_dst, solve_dst
 from helpers import make_query, random_02_query
@@ -154,15 +152,15 @@ def test_criterion_04_chain_transform_preservation():
         out = lemma1_transform(query)
         assert out.k_prime == 5
 
-        classes = classify_effects(query.instance)
-        non_bad = sum(
-            1 for a in query.instance.actions if classes.per_action[a.name] != BAD
-        )
+        # random_02_query gives every action an effect, so an action is
+        # bad exactly when it has no good effect
+        goal = query.instance.goal
+        non_bad = sum(1 for a in query.instance.actions if split_effects(a, goal)[0])
         assert len(out.instance.actions) == non_bad * 4 + 1
 
-        after = classify_effects(out.instance)
+        goal = out.instance.goal
         assert not any(
-            after.per_action[a.name] == GOOD and len(a.eff) == 2
+            not split_effects(a, goal)[1] and len(a.eff) == 2
             for a in out.instance.actions
         )
 

@@ -20,7 +20,7 @@ from sasbp.core import validate_plan
 from sasbp.oracle import decide_bfs
 from sasbp.planner02 import solve_02
 from sasbp.steiner import MAX_TABLE_TERMINALS
-from sasbp.restrictions import GOOD, classify_effects, detect_profile
+from sasbp.restrictions import detect_profile, split_effects
 from helpers import make_query
 
 
@@ -308,9 +308,8 @@ class TestComposeOr02:
         profile = detect_profile(inst)
         assert profile.max_preconditions == 0
         assert profile.max_effects <= 2
-        classes = classify_effects(inst)
         assert not any(
-            classes.per_action[a.name] == GOOD and len(a.eff) == 2
+            not split_effects(a, inst.goal)[1] and len(a.eff) == 2
             for a in inst.actions
         )
 

@@ -92,6 +92,32 @@ def test_witness_skips_an_earlier_action_the_cover_rule_pruned():
     assert validate_plan(q.instance, result.witness).valid
 
 
+@pytest.mark.parametrize("guarded", [False, True], ids=["precondition_free", "guarded"])
+def test_expansion_prunes_by_the_action_that_stored_the_state(monkeypatch, guarded):
+    # each state below the start picks its moves by the action that stored
+    # it, so the skip rules run, and only on real action indices; the
+    # start's sentinel index n tries every move without asking them
+    pre = ({}, {"a": "1"}, {"b": "1"}) if guarded else ({}, {}, {})
+    q = make_query(
+        dict.fromkeys("abc", 2),
+        [("sa", pre[0], {"a": "1"}), ("sb", pre[1], {"b": "1"}), ("sc", pre[2], {"c": "1"})],
+        dict.fromkeys("abc", "0"),
+        dict.fromkeys("abc", "1"),
+        3,
+    )
+    calls = []
+
+    def spy(a, b, actions):
+        calls.append((a, b))
+        return _redundant(a, b, actions)
+
+    monkeypatch.setattr("sasbp.oracle._redundant", spy)
+    result = decide_bfs(q)
+    assert result.witness == ("sa", "sb", "sc")
+    assert calls
+    assert all(0 <= a < 3 and 0 <= b < 3 for a, b in calls)
+
+
 def test_unreachable_goal_is_no():
     q = make_query({"a": 2}, [("down", {}, {"a": "0"})], {"a": "0"}, {"a": "1"}, 4)
     result = decide_bfs(q)

@@ -4,8 +4,8 @@ import pytest
 
 from sasbp.core import BoundedQuery, validate_plan
 from sasbp.oracle import decide_bfs
-from sasbp.preprocess import _split_mixed, chain_bound, lemma1_transform, lift_plan
-from sasbp.restrictions import GOOD, classify_effects, detect_profile
+from sasbp.preprocess import G_RESET, G_VAR, chain_bound, lemma1_transform, lift_plan
+from sasbp.restrictions import detect_profile, split_effects
 from helpers import make_query, random_02_query
 
 
@@ -51,9 +51,9 @@ def test_transform_output_profile():
     profile = detect_profile(out.instance)
     assert profile.max_preconditions == 0
     assert profile.max_effects == 2
-    classes = classify_effects(out.instance)
     for action in out.instance.actions:
-        assert not (classes.per_action[action.name] == GOOD and len(action.eff) == 2)
+        _, bad = split_effects(action, out.instance.goal)
+        assert not (not bad and len(action.eff) == 2)
 
 
 def test_transform_rejects_unsupported_inputs():
@@ -85,20 +85,39 @@ def test_lift_plan_validity_and_length():
     source_plan = ["ab", "noop", "cfix", "wreck"]  # dropped names are skipped
     lifted = lift_plan(out, source_plan)
     assert len(lifted) == 2 * (k + 3) + 1
-    assert lifted[-1] == out.g_reset_action
+    assert lifted[-1] == G_RESET
     report = validate_plan(out.instance, lifted)
     assert report.valid
     with pytest.raises(ValueError, match="no chain"):
         lift_plan(out, ["ghost"])
 
 
-def test_split_mixed_needs_one_good_and_one_bad_effect():
-    inst = two_effect_query().instance
-    per_effect = classify_effects(inst).per_effect
-    swap = inst.action_by_name["swap"]
-    assert _split_mixed(swap, per_effect) == (("a", "1"), ("c", "0"))
-    with pytest.raises(ValueError, match="one good and one bad"):
-        _split_mixed(inst.action_by_name["ab"], per_effect)
+def test_transform_golden_chains():
+    # k = 2: every chain has k + 3 = 5 steps over the counters __v1..__v4.
+    # ab (two good effects) raises the flag, ratchets to __v3 and ends in one
+    # tail per effect; cfix (one good effect) raises the flag and ratchets to
+    # __v4; the mixed swap starts from its bad effect c=0 instead of the flag.
+    out = lemma1_transform(two_effect_query(2))
+    assert [(a.name, list(a.eff.items())) for a in out.instance.actions] == [
+        ("__a1__ab", [("__g", "1"), ("__v1__ab", "0")]),
+        ("__a2__ab", [("__v1__ab", "1"), ("__v2__ab", "0")]),
+        ("__a3__ab", [("__v2__ab", "1"), ("__v3__ab", "0")]),
+        ("__a4__ab", [("__v3__ab", "1"), ("a", "1")]),
+        ("__a5__ab", [("__v3__ab", "1"), ("b", "1")]),
+        ("__a1__cfix", [("__g", "1"), ("__v1__cfix", "0")]),
+        ("__a2__cfix", [("__v1__cfix", "1"), ("__v2__cfix", "0")]),
+        ("__a3__cfix", [("__v2__cfix", "1"), ("__v3__cfix", "0")]),
+        ("__a4__cfix", [("__v3__cfix", "1"), ("__v4__cfix", "0")]),
+        ("__a5__cfix", [("__v4__cfix", "1"), ("c", "1")]),
+        ("__a1__swap", [("c", "0"), ("__v1__swap", "0")]),
+        ("__a2__swap", [("__v1__swap", "1"), ("__v2__swap", "0")]),
+        ("__a3__swap", [("__v2__swap", "1"), ("__v3__swap", "0")]),
+        ("__a4__swap", [("__v3__swap", "1"), ("__v4__swap", "0")]),
+        ("__a5__swap", [("__v4__swap", "1"), ("a", "1")]),
+        ("__ag", [("__g", "0")]),
+    ]
+    assert not any(a.pre for a in out.instance.actions)
+    assert out.dropped_actions == ("wreck", "noop")
 
 
 def test_decision_preserved_on_random_queries():
@@ -118,7 +137,7 @@ def test_decision_preserved_on_random_queries():
 def test_goal_side_transform_has_fresh_goals_closed():
     out = lemma1_transform(two_effect_query())
     inst = out.instance
-    assert inst.goal[out.g_var] == "0"
+    assert inst.goal[G_VAR] == "0"
     for chain in out.chain_vars.values():
         for name in chain:
             assert inst.init[name] == "0"

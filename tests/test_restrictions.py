@@ -1,29 +1,25 @@
 import pytest
 
+from sasbp.core import Action, PartialState
 from sasbp.gadgets import gen_or2
 from sasbp.restrictions import (
     ARBITRARY,
     ClassificationRecord,
-    BAD,
-    GOOD,
     IN_FPT,
     IN_P,
     KERNEL_CONSTANT,
     KERNEL_NA,
     KERNEL_NO_POLY,
-    MIXED,
     NP_COMPLETE,
     NP_HARD,
     PSPACE_COMPLETE,
     W1_COMPLETE,
     W2_COMPLETE,
     broken_variables,
-    classify_effects,
     detect_profile,
-    lookup_complexity,
     lookup_pe,
     lookup_pubs,
-    strip_bad_actions,
+    split_effects,
 )
 from helpers import make_query
 
@@ -105,28 +101,22 @@ def test_precondition_on_changed_variable_is_not_a_prevail():
     assert detect_profile(q.instance).has_S
 
 
-def test_classify_effects():
-    q = make_query(
-        {"a": 2, "b": 2, "c": 2},
-        [
-            ("good2", {}, {"a": "1", "c": "1"}),
-            ("mixed", {}, {"a": "1", "b": "0"}),
-            ("bad", {}, {"b": "0"}),
-            ("noop", {}, {}),
-        ],
-        {"a": "0", "b": "0", "c": "0"},
-        {"a": "1", "b": "1"},  # c undefined in the goal
-        3,
-    )
-    classes = classify_effects(q.instance)
-    assert classes.per_action == {
-        "good2": GOOD,
-        "mixed": MIXED,
-        "bad": BAD,
-        "noop": GOOD,
-    }
-    assert classes.per_effect[("good2", "c")] == GOOD  # goal-undefined is good
-    assert classes.per_effect[("mixed", "b")] == BAD
+def test_split_effects():
+    goal = PartialState({"a": "1", "b": "1"})  # c undefined in the goal
+    table = [
+        ({"a": "1", "b": "1"}, ["a", "b"], []),  # two-effect good
+        ({"b": "1", "a": "1"}, ["b", "a"], []),  # effect order, not declaration order
+        ({"a": "1", "c": "0"}, ["a", "c"], []),  # goal-undefined is good
+        ({"c": "1"}, ["c"], []),
+        ({"a": "1", "b": "0"}, ["a"], ["b"]),  # mixed
+        ({"b": "0", "a": "1"}, ["a"], ["b"]),
+        ({"b": "0"}, [], ["b"]),  # bad
+        ({"b": "0", "a": "0"}, [], ["b", "a"]),
+        ({}, [], []),  # effect-free
+    ]
+    for eff, good, bad in table:
+        action = Action("act", PartialState(), PartialState(eff))
+        assert split_effects(action, goal) == (good, bad), eff
 
 
 def test_broken_variables_follow_declaration_order():
@@ -138,20 +128,6 @@ def test_broken_variables_follow_declaration_order():
         0,
     )
     assert broken_variables(q.instance) == ("c", "a")
-
-
-def test_strip_bad_actions():
-    q = make_query(
-        {"a": 2},
-        [("fix", {}, {"a": "1"}), ("wreck", {}, {"a": "0"})],
-        {"a": "0"},
-        {"a": "1"},
-        1,
-    )
-    stripped = strip_bad_actions(q.instance)
-    assert [a.name for a in stripped.actions] == ["fix"]
-    # nothing to strip: the very same object comes back
-    assert strip_bad_actions(stripped) is stripped
 
 
 R = ClassificationRecord
@@ -210,16 +186,3 @@ def test_pubs_table_covers_all_sixteen_subsets():
 def test_pubs_rejects_unknown_flags():
     with pytest.raises(ValueError, match="unknown restriction flags"):
         lookup_pubs("PX")
-
-
-def test_lookup_complexity_dispatch():
-    q = make_query(
-        {"a": 2},
-        [("set", {}, {"a": "1"})],
-        {"a": "0"},
-        {"a": "1"},
-        1,
-    )
-    profile = detect_profile(q.instance)
-    assert lookup_complexity(profile) == lookup_pe(0, 1)
-    assert lookup_complexity(profile, pubs_mode=True) == lookup_pubs(profile.flags())

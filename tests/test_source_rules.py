@@ -72,6 +72,34 @@ def test_every_public_definition_is_exported_or_used():
     assert unread == []
 
 
+def test_every_public_constant_is_exported_or_read():
+    # a public UPPERCASE module-level constant that is neither exported nor
+    # read anywhere in the package is dead code; its own assignment is not a
+    # read
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined += [
+                (path.name, target.id)
+                for target in targets
+                if isinstance(target, ast.Name)
+                and target.id.isupper()
+                and not target.id.startswith("_")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 20
+    unread = [
+        f"{file} {name}" for file, name in defined if name not in sasbp.__all__ and name not in read
+    ]
+    assert unread == []
+
+
 def test_package_imports_only_the_standard_library():
     # The package promises to run on a bare Python: every absolute import is
     # the package itself or a standard-library module.
