@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -14,8 +17,10 @@ from sasbp.gadgets import (
     gen_or2,
     gen_or_tree,
     or_input_02,
+    or_input_pub,
     or_threshold,
 )
+from sasbp.fileformat import write_instance
 from sasbp.core import validate_plan
 from sasbp.oracle import decide_bfs
 from sasbp.planner02 import solve_02
@@ -361,3 +366,78 @@ class TestComposeOr02:
         murky = GadgetOutput(q02_no().query, UNKNOWN)
         out = compose_or_02([murky, q02_no()])
         assert out.ground_truth == UNKNOWN and "reason" in out.notes
+
+
+def _golden_cases(family):
+    """Every generator output of one family on the pinned grid, in order."""
+    if family == "clique":
+        for classes, per_class in ((2, 2), (3, 2), (3, 3), (4, 2)):
+            yield gen_clique_gadget(MulticoloredGraph.complete(classes, per_class))
+            yield gen_clique_gadget(MulticoloredGraph.empty(classes, per_class))
+            for seed in range(5):
+                graph = MulticoloredGraph.random(classes, per_class, 0.5, seed)
+                yield gen_clique_gadget(graph)
+    elif family == "or2":
+        for v1, v2 in itertools.product((False, True), repeat=2):
+            yield gen_or2(v1, v2)
+    elif family == "ortree":
+        for r in range(1, 8):
+            for bits in itertools.product((False, True), repeat=r):
+                yield gen_or_tree(bits)
+    elif family == "compose-pub":
+        for k in range(1, 4):
+            for t in range(2, 6):
+                for pattern in itertools.product((True, False), repeat=t):
+                    yield compose_or_pub([or_input_pub(k, yes) for yes in pattern])
+    else:
+        for k in range(4):
+            for t in range(2, 5):
+                for pattern in itertools.product((True, False), repeat=t):
+                    yield compose_or_02([or_input_02(k, yes) for yes in pattern])
+
+
+def _golden_digest(family):
+    digest = hashlib.sha256()
+    count = 0
+    for out in _golden_cases(family):
+        record = [out.ground_truth, out.witness, out.notes]
+        digest.update(write_instance(out.query).encode())
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        count += 1
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "family,count,sha256",
+    [
+        (
+            "clique",
+            28,
+            "c17af7159edd529ae54f7403e270afe7b2aded07077903f79374f251cc6df8a7",
+        ),
+        (
+            "or2",
+            4,
+            "103290382cdff3324fce2cc9886612c5ce6a02d30a9df85cd819686119271bcc",
+        ),
+        (
+            "ortree",
+            254,
+            "2d5ae8aa06e0c53c89a5b85be62739495caca91bd0cb7935f191a2839c334d80",
+        ),
+        (
+            "compose-pub",
+            180,
+            "eee8121b2b7b9e01edf8dd84aa5bdbd6a04a4310b4a81b1768bd56ed4f1acab0",
+        ),
+        (
+            "compose-02",
+            112,
+            "ff8476dc19a7d7c4a7a2e50e7053ff46eae677dddeb15aff2a515a4e9f3c5114",
+        ),
+    ],
+)
+def test_generated_bytes_are_pinned(family, count, sha256):
+    # instance text, truth, witness and notes of every single-effect
+    # generator output on a fixed grid; refactors must not move a byte
+    assert _golden_digest(family) == (count, sha256)
