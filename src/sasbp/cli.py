@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -43,6 +44,7 @@ from .gadgets import (
 )
 from .oracle import DEFAULT_MAX_STATES
 from .planner02 import METHODS, pick_method, reduce_to_steiner, solve
+from .preprocess import lemma1_transform
 from .restrictions import detect_profile, lookup_pe, lookup_pubs
 from .steiner import solve_dst
 
@@ -55,14 +57,6 @@ EXIT_RESOURCE = 3
 def _read_query(args) -> BoundedQuery:
     text = Path(args.instance).read_text()
     return parse_instance(text, allow_reserved=args.allow_reserved)
-
-
-def _record_dict(record) -> dict:
-    return {
-        "classical": record.classical,
-        "parameterized": record.parameterized,
-        "poly_kernel": record.poly_kernel,
-    }
 
 
 def cmd_classify(args) -> int:
@@ -79,8 +73,8 @@ def cmd_classify(args) -> int:
             "flags": flags,
             "max_preconditions": profile.max_preconditions,
             "max_effects": profile.max_effects,
-            "pe": _record_dict(pe) if pe else None,
-            "pubs": _record_dict(pubs),
+            "pe": dataclasses.asdict(pe) if pe else None,
+            "pubs": dataclasses.asdict(pubs),
         }
         print(json.dumps(payload, sort_keys=True))
         return EXIT_YES
@@ -136,8 +130,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    from .preprocess import lemma1_transform
-
     if not args.lemma1:
         raise ValueError("nothing to do: pass --lemma1")
     query = _read_query(args)
@@ -241,6 +233,16 @@ def cmd_bench(args) -> int:
     if not directory.is_dir():
         raise NotADirectoryError(f"{args.dir} is not a directory")
     paths = sorted(directory.glob("*.sasbp"))
+    columns = (
+        "instance",
+        "method",
+        "k",
+        "decision",
+        "seconds",
+        "explored_states",
+        "dp_table_entries",
+        "terminals",
+    )
     rows = []
     for path in paths:
         try:
@@ -259,32 +261,13 @@ def cmd_bench(args) -> int:
                 terminals = len(result.artifacts.steiner.terminals)
         except ResourceLimitError:
             decision = "GAVE_UP"
-        elapsed = time.perf_counter() - start
+        seconds = f"{time.perf_counter() - start:.4f}"
         rows.append(
-            {
-                "instance": path.name,
-                "method": method,
-                "k": query.k,
-                "decision": decision,
-                "seconds": f"{elapsed:.4f}",
-                "explored_states": explored,
-                "dp_table_entries": dp_entries,
-                "terminals": terminals,
-            }
+            (path.name, method, query.k, decision, seconds, explored, dp_entries, terminals)
         )
-    fieldnames = [
-        "instance",
-        "method",
-        "k",
-        "decision",
-        "seconds",
-        "explored_states",
-        "dp_table_entries",
-        "terminals",
-    ]
     with open(args.out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(handle)
+        writer.writerow(columns)
         writer.writerows(rows)
     print(f"benchmarked {len(rows)} instances -> {args.out}")
     return EXIT_YES

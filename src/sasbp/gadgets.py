@@ -124,16 +124,19 @@ class MulticoloredGraph:
         )
         return cls(classes=names, edges=())
 
+    def _cross_pairs(self) -> list[tuple[str, str]]:
+        """Every vertex pair across two classes, class pair by class pair."""
+        return [
+            (u, v)
+            for ci, cj in itertools.combinations(self.classes, 2)
+            for u in ci
+            for v in cj
+        ]
+
     @classmethod
     def complete(cls, num_classes: int, per_class: int) -> "MulticoloredGraph":
         g = cls.empty(num_classes, per_class)
-        edges = [
-            (u, v)
-            for i, j in itertools.combinations(range(num_classes), 2)
-            for u in g.classes[i]
-            for v in g.classes[j]
-        ]
-        return cls(classes=g.classes, edges=tuple(edges))
+        return cls(classes=g.classes, edges=tuple(g._cross_pairs()))
 
     @classmethod
     def random(
@@ -146,14 +149,8 @@ class MulticoloredGraph:
         if not isinstance(rng, random.Random):
             rng = random.Random(rng)
         g = cls.empty(num_classes, per_class)
-        edges = [
-            (u, v)
-            for i, j in itertools.combinations(range(num_classes), 2)
-            for u in g.classes[i]
-            for v in g.classes[j]
-            if rng.random() < edge_prob
-        ]
-        return cls(classes=g.classes, edges=tuple(edges))
+        edges = tuple(e for e in g._cross_pairs() if rng.random() < edge_prob)
+        return cls(classes=g.classes, edges=edges)
 
 
 def gen_clique_gadget(graph: MulticoloredGraph) -> GadgetOutput:
@@ -247,14 +244,14 @@ def _or2_parts(
     return variables, actions
 
 
-def _fire(prefix: str, side: str) -> list[str]:
+def _fire(prefix: str, side: str) -> tuple[str, ...]:
     # the six-step firing sequence of one gadget, given that the input on
     # `side` is currently 1
     if side == "left":
         order = ("a_i1", "a_o1", "a_v1", "a_i2", "a_o2", "a_o")
     else:
         order = ("a_i2", "a_o2", "a_v2", "a_i1", "a_o1", "a_o")
-    return [f"{prefix}{base}" for base in order]
+    return tuple(f"{prefix}{base}" for base in order)
 
 
 def gen_or2(v1: bool, v2: bool) -> GadgetOutput:
@@ -277,18 +274,17 @@ def gen_or2(v1: bool, v2: bool) -> GadgetOutput:
     query = BoundedQuery(inst, 6)
     if not (v1 or v2):
         return GadgetOutput(query, NO)
-    witness = _fire("", "left" if v1 else "right")
-    return GadgetOutput(query, YES, witness=tuple(witness))
+    return GadgetOutput(query, YES, witness=_fire("", "left" if v1 else "right"))
 
 
 def _or_tree_parts(
     leaves: list[str], prefix: str
-) -> tuple[list[Variable], list[Action], str, dict[int, tuple[tuple[str, str], ...]]]:
+) -> tuple[list[Variable], list[Action], str, dict[int, tuple[str, ...]]]:
     """Balanced OR tree over existing leaf variables.
 
     Returns the new variables and actions, the name of the root output, and
-    for each leaf index the gadget/side path from that leaf to the root in
-    firing order (leafmost gadget first).
+    for each leaf index the steps that carry a 1 on that leaf to the root:
+    one gadget firing per level, leafmost gadget first.
     """
     variables: list[Variable] = []
     actions: list[Action] = []
@@ -305,8 +301,9 @@ def _or_tree_parts(
         gvars, gacts = _or2_parts(gp, left_out, right_out, out)
         variables.extend(gvars)
         actions.extend(gacts)
-        paths = {j: chain + ((gp, "left"),) for j, chain in left_paths.items()}
-        paths.update({j: chain + ((gp, "right"),) for j, chain in right_paths.items()})
+        left, right = _fire(gp, "left"), _fire(gp, "right")
+        paths = {j: steps + left for j, steps in left_paths.items()}
+        paths.update({j: steps + right for j, steps in right_paths.items()})
         return out, paths
 
     out, paths = build(0, len(leaves))
@@ -339,9 +336,8 @@ def gen_or_tree(bits) -> GadgetOutput:
     query = BoundedQuery(inst, bound)
     if not any(bits):
         return GadgetOutput(query, NO, notes={"bits": r})
-    first = bits.index(True)
-    witness = [step for gp, side in paths[first] for step in _fire(gp, side)]
-    return GadgetOutput(query, YES, witness=tuple(witness), notes={"bits": r})
+    witness = paths[bits.index(True)]
+    return GadgetOutput(query, YES, witness=witness, notes={"bits": r})
 
 
 def or_threshold(k: int) -> int:
@@ -357,6 +353,20 @@ def or_threshold(k: int) -> int:
 
 def _namespaced(prefix: str, state: PartialState) -> PartialState:
     return PartialState({f"{prefix}{var}": val for var, val in state.items()})
+
+
+def _hosted(
+    i: int, inst: PlanningInstance
+) -> tuple[list[Variable], list[Action], PartialState, PartialState]:
+    """Input i of an OR composition with every variable and action name
+    prefixed inst<i>., together with its init and goal."""
+    prefix = f"inst{i}."
+    variables = [Variable(f"{prefix}{v.name}", v.domain) for v in inst.variables]
+    actions = [
+        Action(f"{prefix}{a.name}", _namespaced(prefix, a.pre), _namespaced(prefix, a.eff))
+        for a in inst.actions
+    ]
+    return variables, actions, _namespaced(prefix, inst.init), _namespaced(prefix, inst.goal)
 
 
 def _or_input(k: int, yes: bool, setters: int, var: str, setter: str, no_var: str):
@@ -431,31 +441,20 @@ def compose_or_pub(inputs) -> GadgetOutput:
     variables: list[Variable] = []
     actions: list[Action] = []
     init: dict[str, str] = {}
+    selectors = [f"sel.v{i}" for i in range(1, t + 1)]
+    selector_actions = []
     for i, g in enumerate(inputs, 1):
-        prefix = f"inst{i}."
-        inst = g.query.instance
-        variables.extend(Variable(f"{prefix}{v.name}", v.domain) for v in inst.variables)
-        init.update({f"{prefix}{var}": val for var, val in inst.init.items()})
-        actions.extend(
-            Action(
-                f"{prefix}{a.name}",
-                _namespaced(prefix, a.pre),
-                _namespaced(prefix, a.eff),
-            )
-            for a in inst.actions
+        hvars, hacts, hinit, hgoal = _hosted(i, g.query.instance)
+        variables.extend(hvars)
+        actions.extend(hacts)
+        init.update(hinit)
+        selector_actions.append(
+            Action(f"sel.a{i}", hgoal, PartialState({selectors[i - 1]: "1"}))
         )
 
-    selectors = [f"sel.v{i}" for i in range(1, t + 1)]
     variables.extend(Variable(name, BINARY) for name in selectors)
     init.update({name: "0" for name in selectors})
-    for i, g in enumerate(inputs, 1):
-        actions.append(
-            Action(
-                f"sel.a{i}",
-                _namespaced(f"inst{i}.", g.query.instance.goal),
-                PartialState({selectors[i - 1]: "1"}),
-            )
-        )
+    actions.extend(selector_actions)
 
     tvars, tacts, out, paths = _or_tree_parts(selectors, "or.")
     variables.extend(tvars)
@@ -477,7 +476,7 @@ def compose_or_pub(inputs) -> GadgetOutput:
     for i, g in enumerate(inputs, 1):
         if g.witness is None:
             continue
-        length = len(g.witness) + 1 + 6 * len(paths[i - 1])
+        length = len(g.witness) + 1 + len(paths[i - 1])
         if length <= bound:
             fits.append((length, i))
     if fits:
@@ -485,8 +484,7 @@ def compose_or_pub(inputs) -> GadgetOutput:
         chosen = inputs[ci - 1]
         witness = [f"inst{ci}.{name}" for name in chosen.witness]
         witness.append(f"sel.a{ci}")
-        for gp, side in paths[ci - 1]:
-            witness.extend(_fire(gp, side))
+        witness.extend(paths[ci - 1])
         notes["chosen_input"] = ci
         return GadgetOutput(query, YES, witness=tuple(witness), notes=notes)
     if all(g.ground_truth == NO for g in inputs):
@@ -539,20 +537,15 @@ def compose_or_02(inputs) -> GadgetOutput:
             )
         broken.append(bset)
 
+    hosted = [_hosted(i, tr.instance) for i, tr in enumerate(transforms, 1)]
     variables: list[Variable] = []
-    actions: list[Action] = []
     init: dict[str, str] = {}
     goal: dict[str, str] = {}
-    for i, tr in enumerate(transforms, 1):
-        prefix = f"inst{i}."
-        inst = tr.instance
-        for v in inst.variables:
-            variables.append(Variable(f"{prefix}{v.name}", v.domain))
-            want = inst.goal.get(v.name)
-            # inputs start at their goal; the b-bank actions undo this
-            init[f"{prefix}{v.name}"] = want if want is not None else inst.init[v.name]
-            if want is not None:
-                goal[f"{prefix}{v.name}"] = want
+    for hvars, _, hinit, hgoal in hosted:
+        variables.extend(hvars)
+        # inputs start at their goal; the b-bank actions undo this
+        init.update({**hinit, **hgoal})
+        goal.update(hgoal)
 
     bank = [f"sel.b{j}" for j in range(1, kp + 1)]
     variables.extend(Variable(name, BINARY) for name in bank)
@@ -570,13 +563,11 @@ def compose_or_02(inputs) -> GadgetOutput:
     init["sel.r"] = "0"
     goal["sel.r"] = "0"
 
-    actions.append(Action("sel.a_r", EMPTY_STATE, PartialState({"sel.r": "0"})))
-    for i, tr in enumerate(transforms, 1):
+    actions = [Action("sel.a_r", EMPTY_STATE, PartialState({"sel.r": "0"}))]
+    for i, (_, hacts, hinit, _) in enumerate(hosted, 1):
         prefix = f"inst{i}."
-        for a in tr.instance.actions:
-            if a.name == G_RESET:
-                continue
-            actions.append(Action(f"{prefix}{a.name}", a.pre, _namespaced(prefix, a.eff)))
+        # only sel.a<i>.g clears an input's flag G_VAR, so its reset is left out
+        actions.extend(a for a in hacts if a.name != f"{prefix}{G_RESET}")
         actions.append(
             Action(
                 f"sel.a{i}.r",
@@ -604,8 +595,8 @@ def compose_or_02(inputs) -> GadgetOutput:
             eff = {bank[j - 1]: "0"}
             if bset:
                 # past the end of the broken list, keep re-targeting its last entry
-                target = bset[min(j, len(bset)) - 1]
-                eff[f"{prefix}{target}"] = tr.instance.init[target]
+                target = prefix + bset[min(j, len(bset)) - 1]
+                eff[target] = hinit[target]
             actions.append(Action(f"sel.a{i}.b{j}", EMPTY_STATE, PartialState(eff)))
 
     bound = 4 * kp + 1
@@ -630,7 +621,8 @@ def compose_or_02(inputs) -> GadgetOutput:
             break
     if chosen is not None:
         tr = transforms[chosen - 1]
-        lifted = lift_plan(tr, inputs[chosen - 1].witness, include_g_reset=False)
+        # drop the trailing reset of G_VAR, which the composition leaves out
+        lifted = lift_plan(tr, inputs[chosen - 1].witness)[:-1]
         witness = [f"sel.a{chosen}.b{j}" for j in range(1, kp + 1)]
         witness.extend(f"inst{chosen}.{name}" for name in lifted)
         witness.append(f"sel.a{chosen}.g")

@@ -4,8 +4,8 @@ This is the paper's Lemma 1 construction.  The solver in planner02 does not
 need it (it gives each two-effect good action a pair node instead); the OR
 composition in gadgets builds on it.  It rewrites an instance so that each
 surviving source action becomes a chain of k + 3 two-effect actions threaded
-through fresh binary counter variables, plus one global reset action.  A plan of
-length l at bound k corresponds to a transformed plan of length
+through L fresh binary counters (see below), plus one global reset action.  A
+plan of length l at bound k corresponds to a transformed plan of length
 l * (k + 3) + 1 at the new bound k' = k * (k + 3) + 1, and solvability is
 preserved in both directions.
 
@@ -46,7 +46,8 @@ class Lemma1Output:
 
     provenance maps each chain action name to (source action name, chain
     index); the reset action G_RESET, which clears the flag G_VAR, is not in
-    the map.  chain_vars lists the fresh counter variables per source action.
+    the map.  chain_vars lists the L = k + 3 - m fresh counter variables of
+    each source action's chain, where m is its number of good effects.
     """
 
     instance: PlanningInstance
@@ -89,14 +90,8 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
         else:
             (bad_only if bad else effect_free).append(action.name)
 
-    variables = list(inst.variables)
-    variables.append(Variable(G_VAR, _BIN))
+    variables = [*inst.variables, Variable(G_VAR, _BIN)]
     chain_vars: dict[str, tuple[str, ...]] = {}
-    for action, _, _ in kept:
-        names = tuple(f"__v{i}__{action.name}" for i in range(1, k + 3))
-        chain_vars[action.name] = names
-        variables.extend(Variable(n, _BIN) for n in names)
-
     actions: list[Action] = []
     provenance: dict[str, tuple[str, int]] = {}
 
@@ -106,9 +101,11 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
         provenance[name] = (source, index)
 
     for action, good, bad in kept:
-        chain = chain_vars[action.name]
-        head = {bad[0]: action.eff[bad[0]]} if bad else {G_VAR: "1"}
         last = k + 3 - len(good)
+        chain = tuple(f"__v{i}__{action.name}" for i in range(1, last + 1))
+        chain_vars[action.name] = chain
+        variables.extend(Variable(n, _BIN) for n in chain)
+        head = {bad[0]: action.eff[bad[0]]} if bad else {G_VAR: "1"}
         emit(action.name, 1, {**head, chain[0]: "0"})
         for i in range(2, last + 1):
             emit(action.name, i, {chain[i - 2]: "1", chain[i - 1]: "0"})
@@ -130,9 +127,7 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
     )
 
 
-def lift_plan(
-    out: Lemma1Output, source_plan: Sequence[str], include_g_reset: bool = True
-) -> tuple[str, ...]:
+def lift_plan(out: Lemma1Output, source_plan: Sequence[str]) -> tuple[str, ...]:
     """Translate a source plan into a transformed plan.
 
     Each source action expands to its full chain in decreasing chain index,
@@ -140,7 +135,7 @@ def lift_plan(
     flag reset is appended last.  Bad and effect-free source actions were
     dropped by the transform and are skipped here, which keeps the lifted
     plan valid.  A source plan of length l lifts to length at most
-    l * (k + 3) + 1 (without the reset: l * (k + 3)).
+    l * (k + 3) + 1.
     """
     by_source: dict[str, list[tuple[int, str]]] = {}
     for name, (source, index) in out.provenance.items():
@@ -153,6 +148,5 @@ def lift_plan(
             raise ValueError(f"no chain for source action {source_name!r}")
         for _, name in sorted(by_source[source_name], reverse=True):
             steps.append(name)
-    if include_g_reset:
-        steps.append(G_RESET)
+    steps.append(G_RESET)
     return tuple(steps)

@@ -190,8 +190,6 @@ def lookup_pe(p: int | None, e: int | None) -> ClassificationRecord:
 
 def lookup_pubs(flags: frozenset[str] | set[str] | str) -> ClassificationRecord:
     """Entry of the flag-subset table, keyed by a subset of {P, U, B, S}."""
-    if isinstance(flags, str):
-        flags = set(flags)
     flags = frozenset(flags)
     unknown = flags - set("PUBS")
     if unknown:

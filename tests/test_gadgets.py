@@ -271,6 +271,23 @@ def q02_no(k=1):
     return GadgetOutput(q, NO)
 
 
+def two_effect_input(yes, k=2):
+    # the chain-transform fixture: ab writes two goal bits at once and swap
+    # is mixed; the NO shape also wants d = 1, so a plan needs three steps
+    domains = {"a": 2, "b": 2, "c": 2, "d": 2}
+    actions = [
+        ("ab", {}, {"a": "1", "b": "1"}),
+        ("cfix", {}, {"c": "1"}),
+        ("dfix", {}, {"d": "1"}),
+        ("swap", {}, {"a": "1", "c": "0"}),
+        ("wreck", {}, {"c": "0"}),
+    ]
+    goal = {"a": "1", "b": "1", "c": "1", "d": "0" if yes else "1"}
+    q = make_query(domains, actions, dict.fromkeys(domains, "0"), goal, k)
+    oracle = decide_bfs(q)
+    return GadgetOutput(q, YES if oracle.decision else NO, witness=oracle.witness)
+
+
 class TestComposeOr02:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -355,6 +372,18 @@ class TestComposeOr02:
                     assert result.plan_length == len(result.witness) <= out.query.k
                     lengths.add(result.plan_length)
             assert len(lengths) == 1, (t, lengths)
+
+    @pytest.mark.parametrize("pattern", ["yn", "ny", "nn", "yy"])
+    def test_two_effect_inputs_compose(self, pattern):
+        inputs = [two_effect_input(c == "y") for c in pattern]
+        assert [g.ground_truth for g in inputs] == [YES if c == "y" else NO for c in pattern]
+        out = compose_or_02(inputs)
+        assert out.ground_truth == (YES if "y" in pattern else NO)
+        result = solve_02(out.query)
+        assert result.decision == ("y" in pattern)
+        if result.decision:
+            assert validate_plan(out.query.instance, result.witness).valid
+            assert result.plan_length == len(result.witness) <= out.query.k
 
     def test_yes_without_witness_still_propagates(self):
         silent = GadgetOutput(q02_yes().query, YES)

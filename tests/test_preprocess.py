@@ -38,12 +38,26 @@ def test_transform_shape():
     assert len(out.instance.actions) == 3 * (k + 3) + 1
     assert set(out.dropped_actions) == {"wreck", "noop"}
     assert sorted(out.chain_vars) == ["ab", "cfix", "swap"]
-    assert all(len(chain) == k + 2 for chain in out.chain_vars.values())
+    # L = k + 3 - m counters, where m is the chain's number of good effects
+    good_effects = {"ab": 2, "cfix": 1, "swap": 1}
+    assert all(len(chain) == k + 3 - good_effects[src] for src, chain in out.chain_vars.items())
     # every piece maps back to its source and index
     for name, (source, index) in out.provenance.items():
         assert source in ("ab", "cfix", "swap")
         assert 1 <= index <= k + 3
         assert name in out.instance.action_by_name
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_every_chain_counter_is_written_by_its_chain(k):
+    out = lemma1_transform(two_effect_query(k))
+    written: dict[str, set[str]] = {}
+    for action in out.instance.actions:
+        if action.name in out.provenance:
+            source, _ = out.provenance[action.name]
+            written.setdefault(source, set()).update(action.eff)
+    for source, chain in out.chain_vars.items():
+        assert set(chain) <= written[source], (source, set(chain) - written[source])
 
 
 def test_transform_output_profile():
