@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -6,6 +9,15 @@ import pytest
 import sasbp.planner02 as planner02
 from sasbp import steiner
 from sasbp.core import BoundedQuery, validate_plan
+from sasbp.gadgets import (
+    MulticoloredGraph,
+    compose_or_02,
+    compose_or_pub,
+    gen_clique_gadget,
+    gen_or_tree,
+    or_input_02,
+    or_input_pub,
+)
 from sasbp.oracle import ResourceLimitError, decide_bfs
 from sasbp.planner02 import (
     PAIR,
@@ -397,3 +409,91 @@ def test_resource_limit_propagates_from_solve():
     for query, method in ((gated_task(2), "auto"), (chained_query(2), "oracle")):
         with pytest.raises(ResourceLimitError, match="state budget of 1 exhausted"):
             solve(query, method, max_states=1)
+
+
+def _pinned_tasks(family):
+    """(name, query) of every task of one family on the pinned grid, in order."""
+    if family == "random-02":
+        rng = random.Random(1702)
+        for i in range(400):
+            yield f"r{i}", random_02_query(rng, 6, 9, 5)
+    elif family == "compose-02":
+        for k in (1, 2):
+            for t in (2, 3):
+                for pattern in itertools.product("yn", repeat=t):
+                    inputs = [or_input_02(k, yes == "y") for yes in pattern]
+                    yield f"k{k}-{''.join(pattern)}", compose_or_02(inputs).query
+    elif family == "compose-pub":
+        for k in (1, 2, 3):
+            for t in (2, 3):
+                for pattern in itertools.product("yn", repeat=t):
+                    inputs = [or_input_pub(k, yes == "y") for yes in pattern]
+                    yield f"k{k}-{''.join(pattern)}", compose_or_pub(inputs).query
+    elif family == "ortree":
+        for r in range(1, 5):
+            for bits in itertools.product("01", repeat=r):
+                yield "".join(bits), gen_or_tree(b == "1" for b in bits).query
+    else:
+        graphs = [
+            ("3x2-complete", MulticoloredGraph.complete(3, 2)),
+            ("3x2-empty", MulticoloredGraph.empty(3, 2)),
+            ("4x2-complete", MulticoloredGraph.complete(4, 2)),
+        ]
+        graphs += [(f"3x2-seed{s}", MulticoloredGraph.random(3, 2, 0.5, s)) for s in range(5)]
+        for name, graph in graphs:
+            yield name, gen_clique_gadget(graph).query
+
+
+def _answer_digests(family):
+    answers, counters = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for name, query in _pinned_tasks(family):
+        result = solve(query)
+        record = [name, result.method, result.decision, result.witness]
+        answers.update(json.dumps(record).encode() + b"\n")
+        record = [result.explored_states, result.dp_table_entries]
+        counters.update(json.dumps(record).encode() + b"\n")
+        count += 1
+    return count, answers.hexdigest(), counters.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "family,count,answers,counters",
+    [
+        (
+            "random-02",
+            400,
+            "4d04f6253c96b19144be08cd7dda7b554987d9719618a02778651a276ef896a6",
+            "1369c5fa754f7dda278b881e974ceead0d41061a97c3899f236973dbeccce341",
+        ),
+        (
+            "compose-02",
+            24,
+            "cf9bcc339dd92a20d8e75a34c978a16508e77cb4ea098480d4ceb235447651ee",
+            "94e831482db16f72fcdc56b59c32c131609cb078de2a0f2627da81623daeea79",
+        ),
+        (
+            "compose-pub",
+            36,
+            "eae76ebd8709dd53f371951258084cc223c9d7c571bd2b366b1b8182f5187f90",
+            "d0efee5756e257f16efee528d0ab6ab428512563c30d5a185ec7008ecd817356",
+        ),
+        (
+            "ortree",
+            30,
+            "4e429f1e35a12289ccf8c927c7e91e89a6ea2eccdefdbb48c29aae3781c2d8f7",
+            "e4f9f23eac0dec32ce869be973ea707621fe126289c6d350c36c6d65df0b7ed0",
+        ),
+        (
+            "clique",
+            8,
+            "b76cfcacd34522691272cd28b8c3d768334506c673b7715535a9fc1ae58447bd",
+            "9eb214bd67415b0a02fc9e39141419524e9fbe7f52ede469c6d4cb7b08f1c580",
+        ),
+    ],
+)
+def test_solve_answers_are_pinned(family, count, answers, counters):
+    # method, decision and witness of solve on a fixed grid of tasks, and
+    # separately its work counters, so a deliberate counter change edits
+    # only the second digest; refactors must move neither
+    assert _answer_digests(family) == (count, answers, counters)
