@@ -174,9 +174,12 @@ def cmd_steiner_solve(args) -> int:
     return EXIT_YES
 
 
-def _parse_pattern(pattern: str, t: int) -> list[bool]:
-    if len(pattern) != t or set(pattern) - {"y", "n"}:
-        raise ValueError(f"pattern must be {t} characters of y/n, got {pattern!r}")
+def _parse_pattern(args) -> list[bool]:
+    """--pattern of a composition, by default one YES input and then NO
+    ones; a --t below 2 is left for the composition to refuse."""
+    pattern = args.pattern or ("y" + "n" * args.t)[: args.t]
+    if len(pattern) != args.t or set(pattern) - {"y", "n"}:
+        raise ValueError(f"pattern must be {args.t} characters of y/n, got {pattern!r}")
     return [c == "y" for c in pattern]
 
 
@@ -204,11 +207,9 @@ def cmd_generate(args) -> int:
     elif args.kind == "compose-pub":
         if args.k < 1:
             raise ValueError("compose-pub needs k >= 1 to leave witness slack")
-        pattern = _parse_pattern(args.pattern or "y" + "n" * (args.t - 1), args.t)
-        output = compose_or_pub([or_input_pub(args.k, yes) for yes in pattern])
+        output = compose_or_pub([or_input_pub(args.k, yes) for yes in _parse_pattern(args)])
     else:
-        pattern = _parse_pattern(args.pattern or "y" + "n" * (args.t - 1), args.t)
-        output = compose_or_02([or_input_02(args.k, yes) for yes in pattern])
+        output = compose_or_02([or_input_02(args.k, yes) for yes in _parse_pattern(args)])
 
     base = Path(args.out)
     # plain concatenation: with_suffix would eat dots inside the base name
@@ -245,14 +246,11 @@ def cmd_bench(args) -> int:
     )
     rows = []
     for path in paths:
+        explored = dp_entries = terminals = ""
         try:
             query = parse_instance(path.read_text(), allow_reserved=True)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
-        method = pick_method(query.instance)
-        explored = dp_entries = terminals = ""
-        start = time.perf_counter()
-        try:
+            method = pick_method(query.instance)
+            start = time.perf_counter()
             result = solve(query, method, max_states=args.max_states)
             decision = "YES" if result.decision else "NO"
             explored = result.explored_states or ""
@@ -261,6 +259,9 @@ def cmd_bench(args) -> int:
                 terminals = len(result.artifacts.steiner.terminals)
         except ResourceLimitError:
             decision = "GAVE_UP"
+        except ValueError as exc:
+            # a file that does not parse, or that the solver rejects
+            raise ValueError(f"{path}: {exc}") from None
         seconds = f"{time.perf_counter() - start:.4f}"
         rows.append(
             (path.name, method, query.k, decision, seconds, explored, dp_entries, terminals)

@@ -95,18 +95,17 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
     """
     # The var and action checks test the line, not its first token, so a
     # bare 'var' or 'action', or one followed by a tab, ends its section like
-    # any other line does.  The walk goes by index; past the last line, the
-    # sentinel fails every check with line number '?'.
-    lines = _significant_lines(text)
-    lines.append((None, "", [""]))
+    # any other line does.  One iterator walks the lines; past the last line
+    # it yields the sentinel, which fails every check with line number '?'.
+    rows = iter(_significant_lines(text))
+    end = (None, "", [""])
 
-    lineno, line, parts = lines[0]
+    lineno, line, parts = next(rows, end)
     if line != HEADER:
         raise FormatError(f"line {lineno or 1}: expected header {HEADER!r}")
 
     variables: list[Variable] = []
-    i = 1
-    lineno, line, parts = lines[i]
+    lineno, line, parts = next(rows, end)
     while line.startswith("var "):
         if len(parts) < 3:
             raise FormatError(f"line {lineno}: var needs a name and at least one value")
@@ -116,22 +115,19 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
             variables.append(Variable(parts[1], tuple(parts[2:])))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-        i += 1
-        lineno, line, parts = lines[i]
+        lineno, line, parts = next(rows, end)
 
     if parts[0] != "init":
         raise FormatError(f"line {lineno or '?'}: expected init line after variables")
     init = _parse_state(parts, lineno)
 
-    i += 1
-    lineno, line, parts = lines[i]
+    lineno, line, parts = next(rows, end)
     if parts[0] != "goal":
         raise FormatError(f"line {lineno or '?'}: expected goal line after init")
     goal = _parse_state(parts, lineno)
 
     actions: list[Action] = []
-    i += 1
-    lineno, line, parts = lines[i]
+    lineno, line, parts = next(rows, end)
     while line.startswith("action "):
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: action takes exactly one name")
@@ -140,27 +136,24 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
             _check_name("action", name, lineno)
         block = []
         for keyword in ("pre", "eff"):
-            i += 1
-            lineno, line, parts = lines[i]
+            lineno, line, parts = next(rows, end)
             if parts[0] != keyword:
                 raise FormatError(
                     f"line {lineno or '?'}: expected {keyword} line in action {name!r}"
                 )
             block.append(_parse_state(parts, lineno))
-        i += 1
-        lineno, line, parts = lines[i]
+        lineno, line, parts = next(rows, end)
         if line != "end":
             raise FormatError(f"line {lineno or '?'}: expected end after action {name!r}")
         actions.append(Action(name, *block))
-        i += 1
-        lineno, line, parts = lines[i]
+        lineno, line, parts = next(rows, end)
 
     if parts[0] != "k":
         raise FormatError(f"line {lineno or '?'}: expected bound line 'k INT' last")
     if len(parts) != 2 or not INTEGER.fullmatch(parts[1]):
         raise FormatError(f"line {lineno}: expected 'k INT', got {line!r}")
     k = int(parts[1])
-    lineno, line, parts = lines[i + 1]
+    lineno, line, parts = next(rows, end)
     if lineno is not None:
         raise FormatError(f"line {lineno}: unexpected content after bound: {line!r}")
 

@@ -547,57 +547,35 @@ def compose_or_02(inputs) -> GadgetOutput:
         init.update({**hinit, **hgoal})
         goal.update(hgoal)
 
+    # the selector machine: the bank b<j> starts broken, while each input's
+    # pebbles p<i>.<j> and the reset bit r start at 0; all end at 0
     bank = [f"sel.b{j}" for j in range(1, kp + 1)]
-    variables.extend(Variable(name, BINARY) for name in bank)
-    init.update({name: "1" for name in bank})
-    goal.update({name: "0" for name in bank})
-    pebbles = {
-        (i, j): f"sel.p{i}.{j}"
-        for i in range(1, t + 1)
-        for j in range(1, 2 * kp)
-    }
-    variables.extend(Variable(pebbles[key], BINARY) for key in sorted(pebbles))
-    init.update({name: "0" for name in pebbles.values()})
-    goal.update({name: "0" for name in pebbles.values()})
-    variables.append(Variable("sel.r", BINARY))
-    init["sel.r"] = "0"
-    goal["sel.r"] = "0"
+    pebbles = [[f"sel.p{i}.{j}" for j in range(1, 2 * kp)] for i in range(1, t + 1)]
+    machine = [(name, "1") for name in bank] + [(name, "0") for row in pebbles for name in row]
+    for name, start in machine + [("sel.r", "0")]:
+        variables.append(Variable(name, BINARY))
+        init[name] = start
+        goal[name] = "0"
 
     actions = [Action("sel.a_r", EMPTY_STATE, PartialState({"sel.r": "0"}))]
-    for i, (_, hacts, hinit, _) in enumerate(hosted, 1):
+    for i, ((_, hacts, hinit, _), pebble) in enumerate(zip(hosted, pebbles), 1):
         prefix = f"inst{i}."
         # only sel.a<i>.g clears an input's flag G_VAR, so its reset is left out
         actions.extend(a for a in hacts if a.name != f"{prefix}{G_RESET}")
-        actions.append(
-            Action(
-                f"sel.a{i}.r",
-                EMPTY_STATE,
-                PartialState({"sel.r": "1", pebbles[(i, 1)]: "0"}),
-            )
-        )
-        for j in range(1, 2 * kp - 1):
-            actions.append(
-                Action(
-                    f"sel.a{i}.{j}",
-                    EMPTY_STATE,
-                    PartialState({pebbles[(i, j)]: "1", pebbles[(i, j + 1)]: "0"}),
-                )
-            )
-        actions.append(
-            Action(
-                f"sel.a{i}.g",
-                EMPTY_STATE,
-                PartialState({pebbles[(i, 2 * kp - 1)]: "1", f"{prefix}{G_VAR}": "0"}),
-            )
-        )
+        steps = [("r", {"sel.r": "1", pebble[0]: "0"})]
+        steps += [(j, {pebble[j - 1]: "1", pebble[j]: "0"}) for j in range(1, 2 * kp - 1)]
+        steps.append(("g", {pebble[-1]: "1", f"{prefix}{G_VAR}": "0"}))
         bset = broken[i - 1]
-        for j in range(1, kp + 1):
-            eff = {bank[j - 1]: "0"}
+        for j, name in enumerate(bank, 1):
+            eff = {name: "0"}
             if bset:
                 # past the end of the broken list, keep re-targeting its last entry
                 target = prefix + bset[min(j, len(bset)) - 1]
                 eff[target] = hinit[target]
-            actions.append(Action(f"sel.a{i}.b{j}", EMPTY_STATE, PartialState(eff)))
+            steps.append((f"b{j}", eff))
+        actions.extend(
+            Action(f"sel.a{i}.{label}", EMPTY_STATE, PartialState(eff)) for label, eff in steps
+        )
 
     bound = 4 * kp + 1
     inst = PlanningInstance(

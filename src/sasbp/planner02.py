@@ -19,11 +19,11 @@ off the tree by emitting its arc layers deepest first, with the root layer
 (the good actions) last, so every value broken along the way is repaired
 afterwards; weight-0 arcs emit nothing.
 
-solve() is the entry point for any task: pick_method routes the (0, <=2)
-fragment here and everything else to the search oracle.  A (0, <=2) task
-never goes to the oracle: when more than steiner.MAX_TABLE_TERMINALS
-terminals remain after solve_dst's presolve, the solve raises
-ResourceLimitError instead.
+solve() is the entry point for any task: pick_method, the one statement of
+the (0, <=2) rule, routes that fragment here and everything else to the
+search oracle; the reduction asks it too.  A (0, <=2) task never goes to the
+oracle: when more than steiner.MAX_TABLE_TERMINALS terminals remain after
+solve_dst's presolve, the solve raises ResourceLimitError instead.
 """
 
 from __future__ import annotations
@@ -50,21 +50,28 @@ class ReductionArtifacts:
 
 @dataclass(frozen=True)
 class Planner02Result:
-    """Decision plus, on YES, a shortest witness for the queried instance.
+    """A shortest witness for the queried instance on YES, None on NO.
 
-    method names the solver that was asked for, "fpt02" or "oracle".
-    fallback is always False, since no decision is handed to another
-    solver; the field stays so that existing readers of it keep working.
+    decision and plan_length are read from the witness, so no result says
+    YES without one.  method names the solver that was asked for, "fpt02"
+    or "oracle".  fallback is the class constant False, since no decision
+    is handed to another solver; it stays for existing readers of it.
     """
 
-    decision: bool
     witness: tuple[str, ...] | None = None
-    plan_length: int | None = None
-    fallback: bool = False
     artifacts: ReductionArtifacts | None = None
     explored_states: int | None = None
     dp_table_entries: int | None = None
     method: str = "fpt02"
+    fallback = False
+
+    @property
+    def decision(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def plan_length(self) -> int | None:
+        return None if self.witness is None else len(self.witness)
 
 
 def pick_method(instance: PlanningInstance) -> str:
@@ -91,6 +98,10 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
             raise ValueError(
                 f"variable name {v.name!r} is reserved for the root and pair nodes"
             )
+    if pick_method(inst) != "fpt02":
+        raise ValueError(
+            "reduction requires actions without preconditions and with at most two effects"
+        )
 
     weights: dict[tuple[str, str], int] = {}
     origin: dict[tuple[str, str], list[str]] = {}
@@ -101,10 +112,6 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
         origin.setdefault(arc, []).append(action)
 
     for action in inst.actions:
-        if action.pre:
-            raise ValueError("reduction requires actions without preconditions")
-        if len(action.eff) > 2:
-            raise ValueError("reduction requires at most two effects per action")
         good, bad = split_effects(action, inst.goal)
         if good and bad:
             add((bad[0], good[0]), 1, action.name)
@@ -166,13 +173,13 @@ def solve_02(query: BoundedQuery) -> Planner02Result:
     steiner = artifacts.steiner
     per_step = 2 if 0 in steiner.weights.values() else 1
     if len(steiner.terminals) > per_step * query.k:
-        return Planner02Result(False, artifacts=artifacts)
+        return Planner02Result(artifacts=artifacts)
 
     stats: dict = {}
     solution = solve_dst(steiner, stats_out=stats)
     entries = stats.get("table_entries")
     if solution is None:
-        return Planner02Result(False, artifacts=artifacts, dp_table_entries=entries)
+        return Planner02Result(artifacts=artifacts, dp_table_entries=entries)
     witness = extract_plan(artifacts, solution)
     report = validate_plan(query.instance, witness)
     if not report.valid:
@@ -181,9 +188,7 @@ def solve_02(query: BoundedQuery) -> Planner02Result:
         raise RuntimeError(
             f"extracted plan has {len(witness)} steps, over the bound {query.k}"
         )
-    return Planner02Result(
-        True, witness, len(witness), artifacts=artifacts, dp_table_entries=entries
-    )
+    return Planner02Result(witness, artifacts=artifacts, dp_table_entries=entries)
 
 
 def solve(
@@ -203,10 +208,4 @@ def solve(
     if method == "fpt02":
         return solve_02(query)
     oracle = decide_bfs(query, max_states=max_states)
-    return Planner02Result(
-        oracle.decision,
-        oracle.witness,
-        oracle.shortest_length,
-        explored_states=oracle.explored_states,
-        method="oracle",
-    )
+    return Planner02Result(oracle.witness, explored_states=oracle.explored_states, method="oracle")

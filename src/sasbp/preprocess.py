@@ -69,19 +69,17 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
     Rejects instances with preconditions, more than two effects per action,
     or reserved double-underscore names.
     """
-    if pick_method(query.instance) != "fpt02":
+    inst, k = query.instance, query.k
+    if pick_method(inst) != "fpt02":
         raise ValueError(
             "chain transform requires actions without preconditions "
             "and with at most two effects"
         )
-    for v in query.instance.variables:
-        if v.name.startswith("__"):
-            raise ValueError(f"variable {v.name!r} uses the reserved __ prefix")
-    for a in query.instance.actions:
-        if a.name.startswith("__"):
-            raise ValueError(f"action {a.name!r} uses the reserved __ prefix")
+    for kind, items in (("variable", inst.variables), ("action", inst.actions)):
+        for item in items:
+            if item.name.startswith("__"):
+                raise ValueError(f"{kind} {item.name!r} uses the reserved __ prefix")
 
-    inst, k = query.instance, query.k
     kept, bad_only, effect_free = [], [], []
     for action in inst.actions:
         good, bad = split_effects(action, inst.goal)

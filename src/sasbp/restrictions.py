@@ -49,16 +49,7 @@ class RestrictionProfile:
     max_effects: int
 
     def flags(self) -> frozenset[str]:
-        present = []
-        if self.has_P:
-            present.append("P")
-        if self.has_U:
-            present.append("U")
-        if self.has_B:
-            present.append("B")
-        if self.has_S:
-            present.append("S")
-        return frozenset(present)
+        return frozenset(flag for flag in "PUBS" if getattr(self, f"has_{flag}"))
 
 
 @dataclass(frozen=True)
@@ -140,22 +131,6 @@ _PE_TABLE: dict[tuple[str, str], ClassificationRecord] = {
     ("any", "any"): _R(PSPACE_COMPLETE, W2_COMPLETE, KERNEL_NA),
 }
 
-# Flag-subset table.  Restrictions containing P, U and S are polynomial;
-# other P-containing restrictions are NP-hard but fixed-parameter tractable
-# without a polynomial kernel; the remaining ones split on U, which lowers
-# the parameterized complexity from W[2] to W[1].
-def _pubs_record(flags: frozenset[str]) -> ClassificationRecord:
-    if {"P", "U", "S"} <= flags:
-        return _R(IN_P, IN_FPT, KERNEL_CONSTANT)
-    if "P" in flags:
-        return _R(NP_HARD, IN_FPT, KERNEL_NO_POLY)
-    if flags <= {"U", "S", "B"} and {"U", "S"} <= flags:
-        # US and UBS stay in NP classically.
-        return _R(NP_COMPLETE, W1_COMPLETE, KERNEL_NA)
-    if "U" in flags:
-        return _R(PSPACE_COMPLETE, W1_COMPLETE, KERNEL_NA)
-    return _R(PSPACE_COMPLETE, W2_COMPLETE, KERNEL_NA)
-
 
 def _pe_bucket(p: int | None, e: int | None) -> tuple[str, str]:
     if p is ARBITRARY:
@@ -194,5 +169,18 @@ def lookup_pubs(flags: frozenset[str] | set[str] | str) -> ClassificationRecord:
     unknown = flags - set("PUBS")
     if unknown:
         raise ValueError(f"unknown restriction flags: {sorted(unknown)}")
-    return _pubs_record(flags)
+    # Restrictions containing P, U and S are polynomial; other P-containing
+    # restrictions are NP-hard but fixed-parameter tractable without a
+    # polynomial kernel; the remaining ones split on U, which lowers the
+    # parameterized complexity from W[2] to W[1].
+    if {"P", "U", "S"} <= flags:
+        return _R(IN_P, IN_FPT, KERNEL_CONSTANT)
+    if "P" in flags:
+        return _R(NP_HARD, IN_FPT, KERNEL_NO_POLY)
+    if flags <= {"U", "S", "B"} and {"U", "S"} <= flags:
+        # US and UBS stay in NP classically.
+        return _R(NP_COMPLETE, W1_COMPLETE, KERNEL_NA)
+    if "U" in flags:
+        return _R(PSPACE_COMPLETE, W1_COMPLETE, KERNEL_NA)
+    return _R(PSPACE_COMPLETE, W2_COMPLETE, KERNEL_NA)
 

@@ -356,6 +356,9 @@ class TestGenerate:
             (("generate", "compose-pub", "--k", "0"), "k >= 1"),
             (("generate", "compose-pub", "--pattern", "yy"), "3 characters"),
             (("generate", "compose-02", "--pattern", "zz"), "2 characters"),
+            (("generate", "compose-pub", "--t", "0"), "need at least two inputs"),
+            (("generate", "compose-02", "--t", "0"), "need at least two inputs"),
+            (("generate", "compose-02", "--t", "1"), "need at least two inputs"),
         ],
     )
     def test_usage_errors(self, capsys, tmp_path, argv, needle):
@@ -406,6 +409,18 @@ class TestBench:
         code, out, err = run(capsys, "bench", str(tmp_path), "--out", str(report))
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: line ?: expected init line after variables\n"
+        assert not report.exists()
+
+    def test_instance_the_solver_rejects_is_named(self, capsys, tmp_path, trade_file):
+        # a good file, then one that parses, since bench reads generated files
+        # with reserved names allowed, but that the Steiner reduction refuses
+        bad = tmp_path / "with_root.sasbp"
+        bad.write_text("SASBP 1\nvar __root 0 1\ninit __root=0\ngoal __root=1\nk 1\n")
+        report = tmp_path / "report.csv"
+        code, out, err = run(capsys, "bench", str(tmp_path), "--out", str(report))
+        assert (code, out) == (2, "")
+        reason = "variable name '__root' is reserved for the root and pair nodes"
+        assert err == f"error: {bad}: {reason}\n"
         assert not report.exists()
 
 
