@@ -78,7 +78,7 @@ def test_traced_run_reads_every_per_layer_metric(workload):
     metrics = tracer.metrics(len(cases), 1)
     assert set(metrics) == _per_layer_names()
     assert metrics["fileformat.parse_ms"] > 0
-    assert metrics["fileformat.write_ms"] > 0 and metrics["gadgets.build_ms"] >= 0
+    assert metrics["fileformat.write_ms"] > 0
     if workload == "fpt02-ladder":
         assert metrics["steiner.table_entries"] > 0
         assert metrics["planner02.graph_nodes"] > 0
