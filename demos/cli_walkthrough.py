@@ -72,7 +72,7 @@ def main():
         run("to-steiner", str(hand), "--out", str(base / "trade.steiner"))
         run("steiner", "solve", str(base / "trade.steiner"))
 
-        run("generate", "or2", "--bits", "00", "--out", str(base / "stuck"))
+        run("generate", "ortree", "--bits", "00", "--out", str(base / "stuck"))
         run("solve", str(base / "stuck.sasbp"), expect=1)
 
         run("bench", str(base), "--out", str(base / "report.csv"))

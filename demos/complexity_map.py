@@ -7,7 +7,7 @@ table by which of postunique / unary / Boolean / single-valued hold.
 from sasbp import (
     ARBITRARY,
     detect_profile,
-    gen_or2,
+    gen_or_tree,
     lookup_pe,
     lookup_pubs,
 )
@@ -38,7 +38,7 @@ def main():
     print()
 
     for label, inst in (
-        ("OR gadget", gen_or2(True, False).query.instance),
+        ("OR gadget", gen_or_tree((True, False)).query.instance),
         ("clique gadget", gen_clique_gadget(MulticoloredGraph.complete(3, 2)).query.instance),
     ):
         profile = detect_profile(inst)

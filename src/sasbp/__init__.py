@@ -37,7 +37,6 @@ from .gadgets import (
     compose_or_02,
     compose_or_pub,
     gen_clique_gadget,
-    gen_or2,
     gen_or_tree,
     or_input_02,
     or_input_pub,
@@ -100,7 +99,6 @@ __all__ = [
     "extract_arborescence",
     "extract_plan",
     "gen_clique_gadget",
-    "gen_or2",
     "gen_or_tree",
     "is_goal_state",
     "is_valid_in",

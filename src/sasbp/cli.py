@@ -37,7 +37,6 @@ from .gadgets import (
     compose_or_02,
     compose_or_pub,
     gen_clique_gadget,
-    gen_or2,
     gen_or_tree,
     or_input_02,
     or_input_pub,
@@ -130,8 +129,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    if not args.lemma1:
-        raise ValueError("nothing to do: pass --lemma1")
     query = _read_query(args)
     out = lemma1_transform(query)
     Path(args.out).write_text(write_instance(BoundedQuery(out.instance, out.k_prime)))
@@ -177,7 +174,9 @@ def cmd_steiner_solve(args) -> int:
 def _parse_pattern(args) -> list[bool]:
     """--pattern of a composition, by default one YES input and then NO
     ones; a --t below 2 is left for the composition to refuse."""
-    pattern = args.pattern or ("y" + "n" * args.t)[: args.t]
+    pattern = args.pattern
+    if not pattern:
+        return [j == 0 for j in range(args.t)]
     if len(pattern) != args.t or set(pattern) - {"y", "n"}:
         raise ValueError(f"pattern must be {args.t} characters of y/n, got {pattern!r}")
     return [c == "y" for c in pattern]
@@ -194,19 +193,12 @@ def cmd_generate(args) -> int:
                 args.classes, args.per_class, args.edge_prob, args.seed
             )
         output = gen_clique_gadget(graph)
-    elif args.kind == "or2":
-        bits = args.bits
-        if len(bits) != 2 or set(bits) - {"0", "1"}:
-            raise ValueError(f"or2 needs two bits of 0/1, got {bits!r}")
-        output = gen_or2(bits[0] == "1", bits[1] == "1")
     elif args.kind == "ortree":
         bits = args.bits
         if not bits or set(bits) - {"0", "1"}:
             raise ValueError(f"ortree needs a nonempty 0/1 string, got {bits!r}")
         output = gen_or_tree(c == "1" for c in bits)
     elif args.kind == "compose-pub":
-        if args.k < 1:
-            raise ValueError("compose-pub needs k >= 1 to leave witness slack")
         output = compose_or_pub([or_input_pub(args.k, yes) for yes in _parse_pattern(args)])
     else:
         output = compose_or_02([or_input_02(args.k, yes) for yes in _parse_pattern(args)])
@@ -323,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="rewrite an instance with the paper's chain transform")
     add_instance_arg(p)
-    p.add_argument("--lemma1", action="store_true", help="apply the chain transform")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
 
@@ -350,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     style = pg.add_mutually_exclusive_group()
     style.add_argument("--complete", action="store_true")
     style.add_argument("--empty", action="store_true")
-
-    pg = gen_sub.add_parser("or2", help="two-input OR gadget")
-    pg.add_argument("--bits", default="10", help="two input bits, e.g. 10")
 
     pg = gen_sub.add_parser("ortree", help="balanced OR tree over input bits")
     pg.add_argument("--bits", default="0010", help="input bits, e.g. 0010")

@@ -280,8 +280,10 @@ def parse_steiner(text: str) -> SteinerInstance:
 
 
 def write_steiner(inst: SteinerInstance, origins: dict | None = None) -> str:
-    """Canonical text form; origins may annotate arcs with source actions."""
+    """Canonical text form; origins may annotate arcs with source actions,
+    each name one token so the annotation stays a comment."""
     _check_tokens("node name", inst.nodes)
+    _check_tokens("action name", list(chain.from_iterable((origins or {}).values())))
     out = [f"node {name}" for name in inst.nodes]
     out.append(f"root {inst.root}")
     out.extend(f"terminal {name}" for name in inst.terminals)

@@ -8,9 +8,9 @@ running a solver, so the outputs double as hardness gadgets:
 
 * gen_clique_gadget embeds multicolored clique, the canonical W[1]-hard
   problem, into precondition-free planning with three-effect actions.
-* gen_or2 is a six-action OR over two input bits whose profile is
-  postunique, unary and Boolean but not single-valued.
-* gen_or_tree chains OR gadgets into a balanced tree over r bits.
+* gen_or_tree chains the seven-action OR gadget into a balanced tree over
+  r bits; at r = 2 it is the gadget itself, whose profile is postunique,
+  unary and Boolean but not single-valued.
 * compose_or_pub and compose_or_02 build an instance that is solvable
   exactly when at least one of t input instances is, for postunique unary
   Boolean inputs and for precondition-free two-effect inputs respectively.
@@ -214,26 +214,19 @@ def gen_clique_gadget(graph: MulticoloredGraph) -> GadgetOutput:
     )
 
 
-def _or2_parts(
-    prefix: str, in1: str, in2: str, out: str
-) -> tuple[list[Variable], list[Action]]:
-    """Variables and actions of one OR gadget reading in1/in2, writing out.
+def _or2_parts(prefix: str, in1: str, in2: str) -> tuple[list[Variable], list[Action]]:
+    """Variables and actions of one OR gadget reading in1/in2, writing
+    <prefix>o.
 
     The two relays o1 and o2 can only fire from complementary settings of
     the latches i1 and i2, and lowering a latch requires the matching input
-    to be 1, so out becomes 1 exactly when some input is 1.  Six actions
+    to be 1, so o becomes 1 exactly when some input is 1.  Six actions
     when it does; see _fire.
     """
     n = lambda base: f"{prefix}{base}"
-    variables = [
-        Variable(n("o1"), BINARY),
-        Variable(n("o2"), BINARY),
-        Variable(out, BINARY),
-        Variable(n("i1"), BINARY),
-        Variable(n("i2"), BINARY),
-    ]
+    variables = [Variable(n(base), BINARY) for base in ("o1", "o2", "o", "i1", "i2")]
     actions = [
-        Action(n("a_o"), PartialState({n("o1"): "1", n("o2"): "1"}), PartialState({out: "1"})),
+        Action(n("a_o"), PartialState({n("o1"): "1", n("o2"): "1"}), PartialState({n("o"): "1"})),
         Action(n("a_o1"), PartialState({n("i1"): "1", n("i2"): "0"}), PartialState({n("o1"): "1"})),
         Action(n("a_o2"), PartialState({n("i1"): "0", n("i2"): "1"}), PartialState({n("o2"): "1"})),
         Action(n("a_i1"), EMPTY_STATE, PartialState({n("i1"): "1"})),
@@ -252,29 +245,6 @@ def _fire(prefix: str, side: str) -> tuple[str, ...]:
     else:
         order = ("a_i2", "a_o2", "a_v2", "a_i1", "a_o1", "a_o")
     return tuple(f"{prefix}{base}" for base in order)
-
-
-def gen_or2(v1: bool, v2: bool) -> GadgetOutput:
-    """The two-input OR gadget with inputs fixed to the given bits.
-
-    YES exactly when v1 or v2, with shortest plans of length exactly 6.
-    The profile is postunique, unary and Boolean but not single-valued.
-    """
-    gvars, gacts = _or2_parts("", "v1", "v2", "o")
-    variables = (Variable("v1", BINARY), Variable("v2", BINARY), *gvars)
-    init = {v.name: "0" for v in variables}
-    init["v1"] = "1" if v1 else "0"
-    init["v2"] = "1" if v2 else "0"
-    inst = PlanningInstance(
-        variables=variables,
-        actions=tuple(gacts),
-        init=PartialState(init),
-        goal=PartialState({"o": "1"}),
-    )
-    query = BoundedQuery(inst, 6)
-    if not (v1 or v2):
-        return GadgetOutput(query, NO)
-    return GadgetOutput(query, YES, witness=_fire("", "left" if v1 else "right"))
 
 
 def _or_tree_parts(
@@ -297,14 +267,13 @@ def _or_tree_parts(
         left_out, left_paths = build(lo, mid)
         right_out, right_paths = build(mid, hi)
         gp = f"{prefix}n{next(counter)}."
-        out = f"{gp}o"
-        gvars, gacts = _or2_parts(gp, left_out, right_out, out)
+        gvars, gacts = _or2_parts(gp, left_out, right_out)
         variables.extend(gvars)
         actions.extend(gacts)
         left, right = _fire(gp, "left"), _fire(gp, "right")
         paths = {j: steps + left for j, steps in left_paths.items()}
         paths.update({j: steps + right for j, steps in right_paths.items()})
-        return out, paths
+        return f"{gp}o", paths
 
     out, paths = build(0, len(leaves))
     return variables, actions, out, paths
@@ -315,6 +284,8 @@ def gen_or_tree(bits) -> GadgetOutput:
 
     The bound is 6 * ceil(log2 r): firing one gadget per level along the
     path from a true input to the root.  YES exactly when some bit is set.
+    At r = 2 this is the two-input OR gadget, with shortest plans of length
+    exactly 6.
     """
     bits = tuple(bool(b) for b in bits)
     r = len(bits)
@@ -395,8 +366,10 @@ def or_input_pub(k: int, yes: bool) -> GadgetOutput:
     """Postunique unary Boolean input for compose_or_pub at bound k.
 
     The YES shape needs k - 1 steps, one below its bound, so its witness
-    plus the selector step always fits the composed bound.
+    plus the selector step always fits the composed bound; hence k >= 1.
     """
+    if k < 1:
+        raise ValueError(f"compose-pub needs k >= 1 to leave witness slack, got {k}")
     return _or_input(k, yes, k - 1, "x", "set", "y")
 
 

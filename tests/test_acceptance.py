@@ -23,7 +23,6 @@ from sasbp.gadgets import (
     compose_or_02,
     compose_or_pub,
     gen_clique_gadget,
-    gen_or2,
     gen_or_tree,
     or_input_02,
     or_input_pub,
@@ -193,7 +192,7 @@ def test_criterion_05_clique_gadget_fidelity():
 @criterion(6, "OR2 truth table holds with shortest plans of exactly 6")
 def test_criterion_06_or2_truth_table():
     for v1, v2 in itertools.product((False, True), repeat=2):
-        out = gen_or2(v1, v2)
+        out = gen_or_tree((v1, v2))
         oracle = decide_bfs(out.query)
         assert (out.ground_truth == YES) == oracle.decision == (v1 or v2)
         if v1 or v2:
@@ -266,7 +265,7 @@ def test_criterion_10_round_trip_determinism():
         query = random_02_query(rng)
         assert parse_instance(write_instance(query)) == query
 
-    generated = [gen_or2(a, b) for a, b in itertools.product((False, True), repeat=2)]
+    generated = [gen_or_tree(bits) for bits in itertools.product((False, True), repeat=2)]
     generated.append(gen_or_tree([False, False, True, False]))
     generated.append(gen_clique_gadget(MulticoloredGraph.complete(3, 2)))
     generated.append(gen_clique_gadget(MulticoloredGraph.empty(2, 1)))

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sasbp
-from sasbp.cli import main
+from sasbp.cli import build_parser, main
 from sasbp.fileformat import write_instance
 from helpers import chain_query
 
@@ -225,18 +227,11 @@ class TestValidate:
 
 
 class TestPreprocess:
-    def test_requires_the_transform_flag(self, capsys, tmp_path, trade_file):
-        code, _, err = run(
-            capsys, "preprocess", trade_file, "--out", str(tmp_path / "x.sasbp")
-        )
-        assert code == 2
-        assert "pass --lemma1" in err
-
     def test_chain_transform_round_trip(self, capsys, tmp_path):
         src = tmp_path / "chained.sasbp"
         src.write_text(CHAINED)
         out_path = tmp_path / "chained.l1.sasbp"
-        code, out, _ = run(capsys, "preprocess", str(src), "--lemma1", "--out", str(out_path))
+        code, out, _ = run(capsys, "preprocess", str(src), "--out", str(out_path))
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "chain transform: k 2 -> k' 11"
@@ -249,6 +244,21 @@ class TestPreprocess:
         code, out, _ = run(capsys, "solve", str(out_path), "--allow-reserved", "--json")
         assert code == 0
         assert json.loads(out)["decision"] == "yes"
+
+    def test_names_the_dropped_actions(self, capsys, tmp_path):
+        # wreck undoes a goal fact and noop writes nothing: neither is chained
+        extra = "action wreck\npre\neff c=0\nend\naction noop\npre\neff\nend\n"
+        src = tmp_path / "mixed.sasbp"
+        src.write_text(CHAINED.replace("k 2\n", extra + "k 2\n"))
+        out_path = tmp_path / "mixed.l1.sasbp"
+        code, out, _ = run(capsys, "preprocess", str(src), "--out", str(out_path))
+        assert code == 0
+        assert out.splitlines() == [
+            "chain transform: k 2 -> k' 11",
+            "actions: 4 -> 11",
+            "dropped (bad or effect-free): wreck, noop",
+            f"written to {out_path}",
+        ]
 
 
 class TestSteinerCommands:
@@ -271,6 +281,18 @@ class TestSteinerCommands:
             "solution": {"weight": 2, "arcs": [["__root", "a"], ["a", "b"]]}
         }
 
+    def test_root_listed_as_a_terminal(self, capsys, tmp_path):
+        plain = "node r\nnode t\nroot r\nterminal t\nbound 1\narc r t 1\n"
+        rooted = plain.replace("terminal t", "terminal r\nterminal t")
+        for extra in ((), ("--json",)):
+            answers = []
+            for name, text in (("plain", plain), ("rooted", rooted)):
+                path = tmp_path / f"{name}.steiner"
+                path.write_text(text)
+                answers.append(run(capsys, "steiner", "solve", str(path), *extra))
+            assert answers[0] == answers[1]
+            assert answers[0][0] == 0
+
     def test_no_tree_within_bound(self, capsys, tmp_path):
         path = tmp_path / "stuck.steiner"
         path.write_text("node r\nnode t\nroot r\nterminal t\nbound 1\n")
@@ -283,9 +305,9 @@ class TestSteinerCommands:
 
 
 class TestGenerate:
-    def test_or2_defaults(self, capsys, tmp_path):
+    def test_ortree_defaults(self, capsys, tmp_path):
         base = tmp_path / "gate.v1.2"
-        code, out, _ = run(capsys, "generate", "or2", "--out", str(base))
+        code, out, _ = run(capsys, "generate", "ortree", "--out", str(base))
         assert code == 0
         # dots in the base name must survive
         sasbp = tmp_path / "gate.v1.2.sasbp"
@@ -298,7 +320,7 @@ class TestGenerate:
             f"wrote {plan}",
             "answer: yes",
         ]
-        assert truth.read_text() == "answer yes\n"
+        assert truth.read_text() == "answer yes\nnote bits 4\n"
         code, out, _ = run(capsys, "validate", str(sasbp), str(plan))
         assert code == 0
 
@@ -351,7 +373,7 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "argv,needle",
         [
-            (("generate", "or2", "--bits", "2x"), "two bits"),
+            (("generate", "ortree", "--bits", "2x"), "nonempty 0/1"),
             (("generate", "ortree", "--bits", ""), "nonempty 0/1"),
             (("generate", "compose-pub", "--k", "0"), "k >= 1"),
             (("generate", "compose-pub", "--pattern", "yy"), "3 characters"),
@@ -359,6 +381,8 @@ class TestGenerate:
             (("generate", "compose-pub", "--t", "0"), "need at least two inputs"),
             (("generate", "compose-02", "--t", "0"), "need at least two inputs"),
             (("generate", "compose-02", "--t", "1"), "need at least two inputs"),
+            (("generate", "compose-pub", "--t", "-1"), "need at least two inputs"),
+            (("generate", "compose-02", "--t", "-1"), "need at least two inputs"),
         ],
     )
     def test_usage_errors(self, capsys, tmp_path, argv, needle):
@@ -371,8 +395,8 @@ class TestBench:
     def test_csv_report(self, capsys, tmp_path):
         pool = tmp_path / "pool"
         pool.mkdir()
-        run(capsys, "generate", "or2", "--bits", "00", "--out", str(pool / "a"))
-        run(capsys, "generate", "or2", "--bits", "11", "--out", str(pool / "b"))
+        run(capsys, "generate", "ortree", "--bits", "00", "--out", str(pool / "a"))
+        run(capsys, "generate", "ortree", "--bits", "11", "--out", str(pool / "b"))
         run(capsys, "generate", "compose-02", "--out", str(pool / "c"))
         report = tmp_path / "report.csv"
         code, out, _ = run(capsys, "bench", str(pool), "--out", str(report))
@@ -497,9 +521,9 @@ class TestGoldenOutput:
         pool = tmp_path / "pool"
         pool.mkdir()
         for argv in (
-            ("or2", "--bits", "00"),
-            ("or2", "--bits", "11"),
+            ("ortree", "--bits", "00"),
             ("ortree", "--bits", "0010"),
+            ("ortree", "--bits", "11"),
             ("clique", "--complete"),
             ("clique", "--empty"),
             ("compose-pub",),
@@ -528,9 +552,9 @@ class TestGoldenOutput:
             "compose-pub.sasbp,oracle,14,YES,247,,",
             "gated.sasbp,oracle,2,YES,3,,",
             "no.sasbp,fpt02,1,NO,,,2",
-            "or2-bits-00.sasbp,oracle,6,NO,8,,",
-            "or2-bits-11.sasbp,oracle,6,YES,15,,",
+            "ortree-bits-00.sasbp,oracle,6,NO,8,,",
             "ortree-bits-0010.sasbp,oracle,12,YES,920,,",
+            "ortree-bits-11.sasbp,oracle,6,YES,15,,",
             "trade.sasbp,fpt02,3,YES,,3,2",
         ]
         assert rows("--max-states", "2") == [
@@ -541,9 +565,9 @@ class TestGoldenOutput:
             "compose-pub.sasbp,oracle,14,GAVE_UP,,,",
             "gated.sasbp,oracle,2,GAVE_UP,,,",
             "no.sasbp,fpt02,1,NO,,,2",
-            "or2-bits-00.sasbp,oracle,6,GAVE_UP,,,",
-            "or2-bits-11.sasbp,oracle,6,GAVE_UP,,,",
+            "ortree-bits-00.sasbp,oracle,6,GAVE_UP,,,",
             "ortree-bits-0010.sasbp,oracle,12,GAVE_UP,,,",
+            "ortree-bits-11.sasbp,oracle,6,GAVE_UP,,,",
             "trade.sasbp,fpt02,3,YES,,3,2",
         ]
 
@@ -663,3 +687,34 @@ class TestErrorsAndEntry:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: sasbp")
         assert "bounded plan length planning toolkit" in proc.stdout
+
+
+def _subcommands(parser):
+    return {
+        name: sub
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for name, sub in action.choices.items()
+    }
+
+
+def _option_strings(parser):
+    found = {s for action in parser._actions for s in action.option_strings}
+    for sub in _subcommands(parser).values():
+        found |= _option_strings(sub)
+    return found
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sasbp ")]
+    commands = _subcommands(build_parser())
+    listed = {line.split()[1] for line in lines}
+    assert listed == set(commands)
+    (generate,) = (line for line in lines if line.split()[1] == "generate")
+    kinds = re.search(r"\{([^}]*)\}", generate).group(1).split(",")
+    assert kinds == list(_subcommands(commands["generate"]))
+    for line in lines:
+        options = set(re.findall(r"--[a-z0-9-]+", line))
+        assert options <= _option_strings(commands[line.split()[1]]), line

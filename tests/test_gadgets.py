@@ -14,7 +14,6 @@ from sasbp.gadgets import (
     compose_or_02,
     compose_or_pub,
     gen_clique_gadget,
-    gen_or2,
     gen_or_tree,
     or_input_02,
     or_input_pub,
@@ -146,9 +145,11 @@ class TestCliqueGadget:
 
 
 class TestOr2:
+    # the two-input OR gadget is the OR tree at two bits
     @pytest.mark.parametrize("v1,v2", [(False, False), (False, True), (True, False), (True, True)])
     def test_truth_table(self, v1, v2):
-        out = gen_or2(v1, v2)
+        out = gen_or_tree((v1, v2))
+        assert out.query.k == 6
         oracle = decide_bfs(out.query)
         assert (out.ground_truth == YES) == oracle.decision == (v1 or v2)
         if v1 or v2:
@@ -156,7 +157,7 @@ class TestOr2:
             assert oracle.shortest_length == 6
 
     def test_profile_is_pub_but_not_s(self):
-        profile = detect_profile(gen_or2(True, False).query.instance)
+        profile = detect_profile(gen_or_tree((True, False)).query.instance)
         assert profile.has_P and profile.has_U and profile.has_B
         assert not profile.has_S
 
@@ -254,9 +255,21 @@ class TestComposeOrPub:
     def test_tight_witnesses_yield_unknown(self):
         # a length-6 input witness plus selector and one tree level needs 13,
         # one more than the composed bound of 12
-        out = compose_or_pub([gen_or2(True, False), gen_or2(False, False)])
+        out = compose_or_pub([gen_or_tree((True, False)), gen_or_tree((False, False))])
         assert out.ground_truth == UNKNOWN
         assert "reason" in out.notes and out.witness is None
+
+    def test_pub_inputs_need_a_step_of_slack(self):
+        # at k = 0 a YES input would need 0 steps, and its selector step
+        # would not fit: the composition could only answer unknown
+        for yes in (True, False):
+            with pytest.raises(ValueError, match=r"k >= 1 .*, got 0"):
+                or_input_pub(0, yes)
+        yes = or_input_pub(1, True)
+        assert yes.query.k == 1 and yes.witness == ()
+        out = compose_or_pub([yes, or_input_pub(1, False)])
+        assert out.ground_truth == YES
+        assert decide_bfs(out.query).shortest_length == len(out.witness) == 7
 
 
 def q02_yes(k=1):
@@ -295,7 +308,7 @@ class TestComposeOr02:
         with pytest.raises(ValueError, match="share one bound"):
             compose_or_02([q02_yes(1), q02_no(2)])
         with pytest.raises(ValueError, match="precondition-free"):
-            compose_or_02([gen_or2(True, False), gen_or2(False, False)])
+            compose_or_02([gen_or_tree((True, False)), gen_or_tree((False, False))])
 
     def test_rejects_inputs_with_too_much_damage(self):
         q = make_query(
@@ -406,9 +419,6 @@ def _golden_cases(family):
             for seed in range(5):
                 graph = MulticoloredGraph.random(classes, per_class, 0.5, seed)
                 yield gen_clique_gadget(graph)
-    elif family == "or2":
-        for v1, v2 in itertools.product((False, True), repeat=2):
-            yield gen_or2(v1, v2)
     elif family == "ortree":
         for r in range(1, 8):
             for bits in itertools.product((False, True), repeat=r):
@@ -443,11 +453,6 @@ def _golden_digest(family):
             "clique",
             28,
             "c17af7159edd529ae54f7403e270afe7b2aded07077903f79374f251cc6df8a7",
-        ),
-        (
-            "or2",
-            4,
-            "103290382cdff3324fce2cc9886612c5ce6a02d30a9df85cd819686119271bcc",
         ),
         (
             "ortree",

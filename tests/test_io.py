@@ -218,6 +218,12 @@ def test_write_plan_and_write_steiner_refuse_split_names():
         inst = SteinerInstance(("r", bad), {("r", bad): 1}, "r", (bad,), 1)
         with pytest.raises(ValueError, match=f"node name {bad!r}"):
             write_steiner(inst)
+    # an origin name must stay inside its '# via' comment: one holding a
+    # newline would write a second arc line
+    inst = SteinerInstance(("r", "a"), {("r", "a"): 0}, "r", ("a",), 0)
+    for bad in ("x\narc __root a 0", "a b", ""):
+        with pytest.raises(ValueError, match=re.escape(f"action name {bad!r}")):
+            write_steiner(inst, origins={("r", "a"): ("ok", bad)})
 
 
 STEINER_DOC = """\
@@ -284,6 +290,8 @@ def test_reduction_artifacts_survive_the_file_format():
         ("node r\nroot r\nbound 1\narc r a \uff11\n", "line 4: expected 'arc TAIL HEAD WEIGHT'"),
         ("node r\nroot r\nbound 1\narc r a -1\n", "line 4: expected 'arc TAIL HEAD WEIGHT'"),
         ("node r\nroot r\nbound 1\narc r a 01\n", "line 4: expected 'arc TAIL HEAD WEIGHT'"),
+        ("node r s\nroot r\nbound 1\n", "line 1: node takes exactly one name"),
+        ("node r\nroot r\nterminal\nbound 1\n", "line 3: terminal takes exactly one name"),
     ],
 )
 def test_steiner_structural_errors(text, message):
@@ -294,3 +302,5 @@ def test_steiner_structural_errors(text, message):
 def test_steiner_semantic_errors_are_wrapped():
     with pytest.raises(FormatError, match="references unknown nodes"):
         parse_steiner("node r\nroot r\nbound 1\narc r ghost 1\n")
+    with pytest.raises(FormatError, match="duplicate node names"):
+        parse_steiner("node r\nnode r\nroot r\nbound 1\n")

@@ -1,7 +1,7 @@
 import pytest
 
 from sasbp.core import Action, PartialState
-from sasbp.gadgets import gen_or2
+from sasbp.gadgets import gen_or_tree
 from sasbp.restrictions import (
     ARBITRARY,
     ClassificationRecord,
@@ -27,7 +27,7 @@ from helpers import make_query
 def test_profile_of_the_or_gadget():
     # the OR gadget is the canonical postunique unary Boolean instance that
     # is not single-valued
-    profile = detect_profile(gen_or2(True, False).query.instance)
+    profile = detect_profile(gen_or_tree((True, False)).query.instance)
     assert profile.flags() == frozenset("PUB")
     assert profile.max_preconditions == 2
     assert profile.max_effects == 1

@@ -61,6 +61,18 @@ def test_no_terminals_means_empty_tree():
     assert solution.arcs == () and solution.total_weight == 0
 
 
+def test_root_listed_as_a_terminal_changes_nothing():
+    # the root is in every tree, so the presolve skips it as a terminal
+    d = diamond()
+    for bound in (3, 2):
+        without = SteinerInstance(d.nodes, dict(d.weights), "s", d.terminals, bound)
+        rooted = SteinerInstance(d.nodes, dict(d.weights), "s", ("s",) + d.terminals, bound)
+        assert rooted.terminals == ("s", "t1", "t2")
+        assert solve_dst(rooted) == solve_dst(without)
+    alone = SteinerInstance(("s",), {}, "s", ("s",), 0)
+    assert solve_dst(alone) == solve_dst(SteinerInstance(("s",), {}, "s", (), 0))
+
+
 def test_diamond_picks_the_shared_branch():
     solution = solve_dst(diamond())
     assert solution is not None
