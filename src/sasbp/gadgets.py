@@ -146,6 +146,8 @@ class MulticoloredGraph:
         edge_prob: float,
         rng: random.Random | int | None = None,
     ) -> "MulticoloredGraph":
+        if not 0 <= edge_prob <= 1:
+            raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
         if not isinstance(rng, random.Random):
             rng = random.Random(rng)
         g = cls.empty(num_classes, per_class)

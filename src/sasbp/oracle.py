@@ -30,6 +30,37 @@ map back, each step the first declared action applicable at the parent that
 leads to the child.  That action stored the child: an earlier one in the
 parent's move list would have stored it first, and an earlier skipped one leads
 to a state stored before the parent was expanded, which the child was not.
+
+The search also stores no successor that a goal-count bound puts beyond k: the
+bounded search of IDA* (Korf 1985) with a consistent bound (Pearl 1984).  Let
+per_step be the most goal fields one action sets to their goal value, at least
+1, and h(s) = ceil(off(s) / per_step), where off(s) counts the goal fields of s
+off their goal value.  A step sets at most per_step of them, so h falls by at
+most 1 per step: h is consistent, and a plan from s has at least h(s) steps.
+Call a state at depth d live when d + h(s) <= k; only live successors are
+stored.  Every state on a plan within k is live, and so is the parent that
+first stored it, since h(parent) <= h(state) + 1.  By induction over the
+levels, each level below the start is the subsequence of live states of the
+unbounded search's level, in the same order, each stored by the same parent
+and action:
+  - a live state's first-store parent is live, so it was stored and expanded;
+  - no state expanded before that parent stores it: such a state is live, so
+    it precedes the parent in the unbounded search too, tries the same moves
+    and would have stored it there first;
+  - a live state is not stored deeper than its unbounded depth, where it is
+    live as well.
+So the first goal state found, its depth and its witness are those of the
+unbounded search, and the counts of expanded and stored states can only fall,
+in every prefix of the search: a budget the unbounded search does not exhaust
+is not exhausted here.  Move pruning stays exact.  If s + a is live, so is p + a,
+which is at most as deep and has h at most one more; so p + a is stored and
+expanded before s, and in case (ii) stores s + a = (p + a) + b.  If p + a is not
+stored, s + a would fail the bound too, and it is not stored either.  Testing
+the bound when a state is expanded rather than stored would keep states beyond
+the bound in the levels, and which of them depended on the skipped moves.  The
+test runs only at levels where a successor could fail it: no state at depth d
+has more goal fields off than init plus d times the most goal fields one
+action sets off their goal value.
 """
 
 from __future__ import annotations
@@ -104,12 +135,31 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
     A state first stored by action b tries only the actions that neither cover
     b nor commute with it from an earlier declaration (module docstring): the
     others lead to stored states, so the result is that of the full search.
-    Levels are lists with int parent links; the witness is recomputed from them.
+    A successor with more goal fields off than the steps left can set is not
+    stored (module docstring): decision, witness and length stay those of the
+    full search, and the counts can only fall.  Levels are lists with int
+    parent links; the witness is recomputed from them.
     """
     inst, k = query.instance, query.k
     pack, actions = _packed(inst)
     everything, start = pack(inst.init)  # init is total: its mask is every field
     goal_mask, goal_bits = pack(inst.goal)
+    goals = [pack({name: value}) for name, value in inst.goal.items()]
+    writes = [  # goal fields each action sets to their goal value, and off it
+        (
+            sum(eff_mask & mask and eff_bits & mask == bits for mask, bits in goals),
+            sum(eff_mask & mask and eff_bits & mask != bits for mask, bits in goals),
+        )
+        for _, _, eff_mask, eff_bits in actions
+    ]
+    per_step = max([1] + [fixed for fixed, _ in writes])
+    spoils = max([0] + [broken for _, broken in writes])
+    one_bit = all(mask & (mask - 1) == 0 for mask, _ in goals)  # popcount counts them
+
+    def off(state: int) -> int:
+        """The goal fields of state off their goal value, each under its own mask."""
+        return sum(state & mask != bits for mask, bits in goals)
+
     guarded = any(pre_mask for pre_mask, _, _, _ in actions)
     moves = [  # (index, keep, bits) when no action has a precondition
         (index, pre_mask, pre_bits, everything ^ eff_mask, eff_bits)
@@ -121,7 +171,11 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
     parent: dict[int, int | None] = {start: None}
     level, made_by = [start], [len(moves)]  # the start's sentinel n tries every move
     explored = depth = 0
+    reach = off(start)  # the most goal fields off in a state of the level
     while level:
+        limit = (k - depth - 1) * per_step  # the most goal fields off a successor may have
+        reach = min(reach + spoils, len(goals))  # the most one can have
+        bounded = reach > limit
         states, generators = [], []
         store, note = states.append, generators.append
         for state, b in zip(level, made_by):
@@ -142,14 +196,20 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                 for index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
                     if state & pre_mask == pre_bits:
                         successor = (state & keep_mask) | eff_bits
-                        if successor not in parent:
+                        if successor not in parent and not (bounded and (
+                            ((successor ^ goal_bits) & goal_mask).bit_count() if one_bit
+                            else off(successor)
+                        ) > limit):
                             parent[successor] = state
                             store(successor)
                             note(index)
             else:
                 for index, keep_mask, eff_bits in tries:
                     successor = (state & keep_mask) | eff_bits
-                    if successor not in parent:
+                    if successor not in parent and not (bounded and (
+                        ((successor ^ goal_bits) & goal_mask).bit_count() if one_bit
+                        else off(successor)
+                    ) > limit):
                         parent[successor] = state
                         store(successor)
                         note(index)

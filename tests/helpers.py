@@ -131,11 +131,19 @@ def _compiled(query: BoundedQuery):
     return compiled
 
 
-def tuple_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> OracleResult:
-    """Tuple-state reference for decide_bfs: same search order, same result."""
+def tuple_bfs(
+    query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES, bounded: bool = False
+) -> OracleResult:
+    """Tuple-state reference for decide_bfs: same search order, same result.
+
+    With bounded, a successor at depth d is not stored when d plus the
+    goal-count bound of decide_bfs exceeds k: its goal variables off their goal
+    value, divided by the most of them one action writes with its goal value,
+    rounded up."""
     inst = query.instance
     actions = _compiled(query)
     goal = tuple((inst.variable_index[n], v) for n, v in inst.goal.items())
+    per_step = max([1] + [sum(pair in eff for pair in goal) for _, _, eff in actions])
     start = tuple(inst.init[v.name] for v in inst.variables)
 
     came_from: dict[tuple[str, ...], tuple[tuple[str, ...], int] | None] = {start: None}
@@ -166,24 +174,41 @@ def tuple_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Orac
             for i, v in eff:
                 successor[i] = v
             successor = tuple(successor)
-            if successor not in came_from:
-                came_from[successor] = (state, action_index)
-                queue.append((successor, depth + 1))
+            if successor in came_from:
+                continue
+            if bounded:
+                off = sum(successor[i] != v for i, v in goal)
+                if depth + 1 + -(-off // per_step) > query.k:
+                    continue
+            came_from[successor] = (state, action_index)
+            queue.append((successor, depth + 1))
     return OracleResult(False, None, explored, None)
 
 
+def _outcome(search, query: BoundedQuery, **options):
+    """The OracleResult of a search, or its budget message."""
+    try:
+        return search(query, **options)
+    except ResourceLimitError as error:
+        return str(error)
+
+
 def same_as_tuple_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES):
-    """Run decide_bfs and tuple_bfs and require the same outcome: equal
-    OracleResults, or ResourceLimitErrors with equal messages.  Returns the
-    result, or None when the budget ran out."""
-    outcomes = []
-    for search in (decide_bfs, tuple_bfs):
-        try:
-            outcomes.append(search(query, max_states=max_states))
-        except ResourceLimitError as error:
-            outcomes.append(str(error))
-    assert outcomes[0] == outcomes[1], outcomes
-    return outcomes[0] if isinstance(outcomes[0], OracleResult) else None
+    """Run decide_bfs and require the outcome of the bounded tuple_bfs: equal
+    OracleResults, or ResourceLimitErrors with equal messages.  Against the
+    unbounded tuple_bfs, require the same decision, witness and length, and an
+    answer wherever it answered.  Returns the result, or None when the budget
+    ran out."""
+    packed = _outcome(decide_bfs, query, max_states=max_states)
+    bounded = _outcome(tuple_bfs, query, max_states=max_states, bounded=True)
+    plain = _outcome(tuple_bfs, query, max_states=max_states)
+    assert packed == bounded, (packed, bounded)
+    if isinstance(plain, OracleResult):
+        assert isinstance(packed, OracleResult), (packed, plain)
+        assert packed.decision == plain.decision, (packed, plain)
+        assert packed.witness == plain.witness, (packed, plain)
+        assert packed.shortest_length == plain.shortest_length, (packed, plain)
+    return packed if isinstance(packed, OracleResult) else None
 
 
 def enumerate_plans(

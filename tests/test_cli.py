@@ -383,6 +383,8 @@ class TestGenerate:
             (("generate", "compose-02", "--t", "1"), "need at least two inputs"),
             (("generate", "compose-pub", "--t", "-1"), "need at least two inputs"),
             (("generate", "compose-02", "--t", "-1"), "need at least two inputs"),
+            (("generate", "clique", "--edge-prob", "2"), "edge probability must lie in [0, 1]"),
+            (("generate", "clique", "--edge-prob", "-1"), "edge probability must lie in [0, 1]"),
         ],
     )
     def test_usage_errors(self, capsys, tmp_path, argv, needle):
@@ -546,14 +548,14 @@ class TestGoldenOutput:
         header = "instance,method,k,decision,explored_states,dp_table_entries,terminals"
         assert rows() == [
             header,
-            "clique-complete.sasbp,oracle,6,YES,305,,",
+            "clique-complete.sasbp,oracle,6,YES,136,,",
             "clique-empty.sasbp,fpt02,6,NO,,,3",
             "compose-02.sasbp,fpt02,21,YES,,32,5",
-            "compose-pub.sasbp,oracle,14,YES,247,,",
+            "compose-pub.sasbp,oracle,14,YES,246,,",
             "gated.sasbp,oracle,2,YES,3,,",
             "no.sasbp,fpt02,1,NO,,,2",
             "ortree-bits-00.sasbp,oracle,6,NO,8,,",
-            "ortree-bits-0010.sasbp,oracle,12,YES,920,,",
+            "ortree-bits-0010.sasbp,oracle,12,YES,887,,",
             "ortree-bits-11.sasbp,oracle,6,YES,15,,",
             "trade.sasbp,fpt02,3,YES,,3,2",
         ]

@@ -91,6 +91,11 @@ class TestMulticoloredGraph:
             == MulticoloredGraph.random(4, 2, 0.5, rng=11).edges
         )
 
+    @pytest.mark.parametrize("edge_prob", [-0.1, 1.5, 2, float("nan")])
+    def test_random_rejects_a_probability_outside_the_unit_interval(self, edge_prob):
+        with pytest.raises(ValueError, match=r"edge probability must lie in \[0, 1\]"):
+            MulticoloredGraph.random(3, 2, edge_prob, rng=0)
+
 
 class TestCliqueGadget:
     def test_needs_two_classes(self):

@@ -13,7 +13,7 @@ from sasbp.gadgets import (
     or_input_pub,
 )
 from sasbp.oracle import ResourceLimitError, _packed, _redundant, decide_bfs
-from helpers import enumerate_plans, make_query, random_02_query, same_as_tuple_bfs
+from helpers import enumerate_plans, make_query, random_02_query, same_as_tuple_bfs, tuple_bfs
 
 
 def test_yes_when_goal_holds_initially():
@@ -118,6 +118,37 @@ def test_expansion_prunes_by_the_action_that_stored_the_state(monkeypatch, guard
     assert all(0 <= a < 3 and 0 <= b < 3 for a, b in calls)
 
 
+def test_goal_count_bound_prunes_the_clique_gadget():
+    # K4 with two vertices per class: the bound keeps the full search's
+    # witness and drops almost two thirds of its states; both counts are
+    # pinned, so the bound cannot stop acting unnoticed
+    q = gen_clique_gadget(MulticoloredGraph.complete(4, 2)).query
+    full = tuple_bfs(q)
+    result = same_as_tuple_bfs(q)
+    assert (result.explored_states, full.explored_states) == (4060, 11617)
+    assert result.witness == full.witness and len(result.witness) == q.k == 10
+
+
+def test_goal_count_bound_tests_a_wide_goal_field_under_its_own_mask():
+    # x has three values, so a two-bit field; the only plan passes through
+    # x=2, whose bits 10 differ from the goal's 01 in both places.  Counted
+    # by bits, that state would have two goal fields off with one step left,
+    # and the search would answer NO
+    q = make_query(
+        {"x": 3, "y": 2},
+        [("y_on_x_off", {}, {"x": "2", "y": "1"}), ("x_back", {"y": "1"}, {"x": "1"})],
+        {"x": "1", "y": "0"},
+        {"x": "1", "y": "1"},
+        2,
+    )
+    pack, _ = _packed(q.instance)
+    mask, bits = pack({"x": "1"})
+    assert (mask.bit_count(), ((pack({"x": "2"})[1] ^ bits) & mask).bit_count()) == (2, 2)
+    result = same_as_tuple_bfs(q)
+    assert result.witness == ("y_on_x_off", "x_back")
+    assert result.explored_states == 3
+
+
 def test_unreachable_goal_is_no():
     q = make_query({"a": 2}, [("down", {}, {"a": "0"})], {"a": "0"}, {"a": "1"}, 4)
     result = decide_bfs(q)
@@ -218,9 +249,10 @@ def _gadget_queries():
 
 
 def test_packed_states_match_the_tuple_reference_on_gadgets():
-    # clique gadgets with preconditions, all 16 four-bit OR trees and the
-    # postunique OR compositions: every OracleResult field agrees, and so
-    # does the budget message when a small budget runs out
+    # clique gadgets, all 16 four-bit OR trees with their preconditions and
+    # the postunique OR compositions: every OracleResult field agrees with
+    # the bounded tuple search, and so does the budget message when a small
+    # budget runs out; the answers agree with the unbounded one
     decisions, limited = [], []
     for query in _gadget_queries():
         decisions.append(same_as_tuple_bfs(query).decision)

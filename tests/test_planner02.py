@@ -476,19 +476,19 @@ def _answer_digests(family):
             "compose-pub",
             36,
             "eae76ebd8709dd53f371951258084cc223c9d7c571bd2b366b1b8182f5187f90",
-            "d0efee5756e257f16efee528d0ab6ab428512563c30d5a185ec7008ecd817356",
+            "e79190aa319e6331858c78852a8a96d67adb7d2920db21697c3cfe59800dd8d1",
         ),
         (
             "ortree",
             30,
             "4e429f1e35a12289ccf8c927c7e91e89a6ea2eccdefdbb48c29aae3781c2d8f7",
-            "e4f9f23eac0dec32ce869be973ea707621fe126289c6d350c36c6d65df0b7ed0",
+            "abc8607b61d40232c17a7bd12b369a850b370aa475cd78a21109a332812b0fc7",
         ),
         (
             "clique",
             8,
             "b76cfcacd34522691272cd28b8c3d768334506c673b7715535a9fc1ae58447bd",
-            "9eb214bd67415b0a02fc9e39141419524e9fbe7f52ede469c6d4cb7b08f1c580",
+            "034d78db662f0e983de8fbd2aa6a9620e1d3db80a54a7d166032252dec5b30ed",
         ),
     ],
 )

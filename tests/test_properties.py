@@ -28,6 +28,7 @@ from helpers import (  # noqa: E402
     reference_parse_instance,
     reference_validate_plan,
     same_as_tuple_bfs,
+    tuple_bfs,
 )
 
 
@@ -234,12 +235,14 @@ def test_packed_oracle_agrees_with_tuple_reference():
             limited,
             len(inst.goal) < len(inst.variables),
             any(a.pre for a in inst.actions),
+            tuple_bfs(query).explored_states > result.explored_states,
         ))
 
     check()
     assert sizes == {1, 2, 3, 4, 5}
-    # YES, NO, an exhausted budget, a variable without a goal and a
-    # precondition each turn up in more than a tenth of the examples
+    # YES, NO, an exhausted budget, a variable without a goal, a
+    # precondition and a state the goal-count bound drops each turn up in
+    # more than a tenth of the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 
@@ -283,11 +286,12 @@ def test_precondition_free_oracle_agrees_with_tuple_reference_at_every_budget():
             not result.decision,
             any(limited),
             any(len(a.eff) == 3 for a in query.instance.actions),
+            tuple_bfs(query).explored_states > result.explored_states,
         ))
 
     check()
-    # YES, NO, an exhausted budget and a three-effect action each turn up in
-    # more than a tenth of the examples
+    # YES, NO, an exhausted budget, a three-effect action and a state the
+    # goal-count bound drops each turn up in more than a tenth of the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 
@@ -413,8 +417,9 @@ def pair_kinds(inst) -> set[str]:
 
 
 def test_skip_rules_keep_the_tuple_reference_result():
-    # the oracle skips successors by cover and commute; the unpruned tuple
-    # search must agree on every result and every budget message
+    # the oracle skips successors by cover and commute; the tuple search,
+    # which tries every action, must agree on every result and every budget
+    # message under the goal-count bound, and on the answer without it
     seen = []
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -424,11 +429,12 @@ def test_skip_rules_keep_the_tuple_reference_result():
         budget = max(1, result.explored_states - short)
         limited = same_as_tuple_bfs(query, max_states=budget) is None
         kinds = pair_kinds(query.instance)
-        seen.append((*(kind in kinds for kind in PAIR_KINDS), result.decision, limited))
+        pruned = tuple_bfs(query).explored_states > result.explored_states
+        seen.append((*(kind in kinds for kind in PAIR_KINDS), result.decision, limited, pruned))
 
     check()
-    # each kind of pair, a YES and an exhausted budget each turn up in more
-    # than a tenth of the examples
+    # each kind of pair, a YES, an exhausted budget and a state the goal-count
+    # bound drops each turn up in more than a tenth of the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 
