@@ -61,6 +61,17 @@ the bound in the levels, and which of them depended on the skipped moves.  The
 test runs only at levels where a successor could fail it: no state at depth d
 has more goal fields off than init plus d times the most goal fields one
 action sets off their goal value.
+
+Each task's tables are built with bit operations, not a Python call per
+action pair.  The move list of a generator b is one comprehension over the
+actions that states rules (i) and (ii) on their masks, built the first time a
+state stored by b is expanded.  When every goal field is one bit wide, one
+popcount per action counts the goal fields it sets on and off their goal
+value, and one popcount per successor counts its goal fields off, before the
+successor is looked up among the stored states; wider goal fields are tested
+each under its own mask.  Each kind of level has its own expansion loop, for
+tasks with and without preconditions: unbounded, bounded with one-bit goal
+fields, and bounded with wider ones.
 """
 
 from __future__ import annotations
@@ -102,16 +113,42 @@ def _packed(inst):
     return pack, [(*pack(action.pre), *pack(action.eff)) for action in inst.actions]
 
 
-def _redundant(a: int, b: int, actions) -> bool:
-    """Whether a state first stored by action b has its successor by action a
-    stored already: a covers b, or a commutes with b and is declared first."""
-    a_pre, _, a_eff, a_bits = actions[a]
+def _moves_after(b: int, moves, actions) -> list:
+    """The moves a state first stored by action b tries, in declaration order.
+    Action a is tried when it reads a field b writes, or when it leaves one of
+    b's fields unwritten and is declared no earlier than b, writes a field b
+    reads or sets a field both write to another value.  The others cover b or
+    commute with it from an earlier declaration (module docstring)."""
     b_pre, _, b_eff, b_bits = actions[b]
-    if a_pre & b_eff:
-        return False
-    if a_eff & b_eff == b_eff:
-        return True
-    return a < b and not b_pre & a_eff and not (a_bits ^ b_bits) & a_eff & b_eff
+    return [
+        move
+        for move, (a_pre, _, a_eff, a_bits) in zip(moves, actions)
+        if a_pre & b_eff
+        or a_eff & b_eff != b_eff
+        and (move[0] >= b or b_pre & a_eff or (a_bits ^ b_bits) & a_eff & b_eff)
+    ]
+
+
+def _goal_writes(actions, goal_mask: int, goal_bits: int, goals) -> list[tuple[int, int]]:
+    """The goal fields each action sets to their goal value, and off it.  With
+    goals None every goal field is one bit wide, and one popcount per action
+    counts each; otherwise goals holds each goal field's (mask, bits), tested
+    on its own."""
+    if goals is None:
+        return [
+            (
+                (eff_mask & goal_mask & ~(eff_bits ^ goal_bits)).bit_count(),
+                ((eff_bits ^ goal_bits) & eff_mask & goal_mask).bit_count(),
+            )
+            for _, _, eff_mask, eff_bits in actions
+        ]
+    return [
+        (
+            sum(eff_mask & mask and eff_bits & mask == bits for mask, bits in goals),
+            sum(eff_mask & mask and eff_bits & mask != bits for mask, bits in goals),
+        )
+        for _, _, eff_mask, eff_bits in actions
+    ]
 
 
 def _witness(state: int, parent: dict, inst, actions) -> tuple[str, ...]:
@@ -144,17 +181,12 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
     pack, actions = _packed(inst)
     everything, start = pack(inst.init)  # init is total: its mask is every field
     goal_mask, goal_bits = pack(inst.goal)
-    goals = [pack({name: value}) for name, value in inst.goal.items()]
-    writes = [  # goal fields each action sets to their goal value, and off it
-        (
-            sum(eff_mask & mask and eff_bits & mask == bits for mask, bits in goals),
-            sum(eff_mask & mask and eff_bits & mask != bits for mask, bits in goals),
-        )
-        for _, _, eff_mask, eff_bits in actions
-    ]
+    # each goal field has at least one bit, so equal counts mean one bit each
+    one_bit = goal_mask.bit_count() == len(inst.goal)
+    goals = None if one_bit else [pack({name: value}) for name, value in inst.goal.items()]
+    writes = _goal_writes(actions, goal_mask, goal_bits, goals)
     per_step = max([1] + [fixed for fixed, _ in writes])
     spoils = max([0] + [broken for _, broken in writes])
-    one_bit = all(mask & (mask - 1) == 0 for mask, _ in goals)  # popcount counts them
 
     def off(state: int) -> int:
         """The goal fields of state off their goal value, each under its own mask."""
@@ -171,10 +203,11 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
     parent: dict[int, int | None] = {start: None}
     level, made_by = [start], [len(moves)]  # the start's sentinel n tries every move
     explored = depth = 0
-    reach = off(start)  # the most goal fields off in a state of the level
+    # the most goal fields off in a state of the level
+    reach = ((start ^ goal_bits) & goal_mask).bit_count() if one_bit else off(start)
     while level:
         limit = (k - depth - 1) * per_step  # the most goal fields off a successor may have
-        reach = min(reach + spoils, len(goals))  # the most one can have
+        reach = min(reach + spoils, len(inst.goal))  # the most one can have
         bounded = reach > limit
         states, generators = [], []
         store, note = states.append, generators.append
@@ -191,25 +224,52 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                 continue
             tries = after[b]
             if tries is None:
-                tries = after[b] = [m for m in moves if not _redundant(m[0], b, actions)]
+                tries = after[b] = _moves_after(b, moves, actions)
             if guarded:
-                for index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
-                    if state & pre_mask == pre_bits:
-                        successor = (state & keep_mask) | eff_bits
-                        if successor not in parent and not (bounded and (
-                            ((successor ^ goal_bits) & goal_mask).bit_count() if one_bit
-                            else off(successor)
-                        ) > limit):
-                            parent[successor] = state
-                            store(successor)
-                            note(index)
+                if not bounded:
+                    for index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
+                        if state & pre_mask == pre_bits:
+                            successor = (state & keep_mask) | eff_bits
+                            if successor not in parent:
+                                parent[successor] = state
+                                store(successor)
+                                note(index)
+                elif one_bit:
+                    for index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
+                        if state & pre_mask == pre_bits:
+                            successor = (state & keep_mask) | eff_bits
+                            if (((successor ^ goal_bits) & goal_mask).bit_count() <= limit
+                                    and successor not in parent):
+                                parent[successor] = state
+                                store(successor)
+                                note(index)
+                else:
+                    for index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
+                        if state & pre_mask == pre_bits:
+                            successor = (state & keep_mask) | eff_bits
+                            if successor not in parent and off(successor) <= limit:
+                                parent[successor] = state
+                                store(successor)
+                                note(index)
+            elif not bounded:
+                for index, keep_mask, eff_bits in tries:
+                    successor = (state & keep_mask) | eff_bits
+                    if successor not in parent:
+                        parent[successor] = state
+                        store(successor)
+                        note(index)
+            elif one_bit:
+                for index, keep_mask, eff_bits in tries:
+                    successor = (state & keep_mask) | eff_bits
+                    if (((successor ^ goal_bits) & goal_mask).bit_count() <= limit
+                            and successor not in parent):
+                        parent[successor] = state
+                        store(successor)
+                        note(index)
             else:
                 for index, keep_mask, eff_bits in tries:
                     successor = (state & keep_mask) | eff_bits
-                    if successor not in parent and not (bounded and (
-                        ((successor ^ goal_bits) & goal_mask).bit_count() if one_bit
-                        else off(successor)
-                    ) > limit):
+                    if successor not in parent and off(successor) <= limit:
                         parent[successor] = state
                         store(successor)
                         note(index)

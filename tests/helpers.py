@@ -185,6 +185,20 @@ def tuple_bfs(
     return OracleResult(False, None, explored, None)
 
 
+def redundant(a: int, b: int, actions) -> bool:
+    """Whether a state first stored by action b has its successor by action a
+    stored already: a covers b, or a commutes with b and is declared first.
+    Actions are packed (pre_mask, pre_bits, eff_mask, eff_bits) tuples; this
+    pairwise test is the reference for the move lists of decide_bfs."""
+    a_pre, _, a_eff, a_bits = actions[a]
+    b_pre, _, b_eff, b_bits = actions[b]
+    if a_pre & b_eff:
+        return False
+    if a_eff & b_eff == b_eff:
+        return True
+    return a < b and not b_pre & a_eff and not (a_bits ^ b_bits) & a_eff & b_eff
+
+
 def _outcome(search, query: BoundedQuery, **options):
     """The OracleResult of a search, or its budget message."""
     try:

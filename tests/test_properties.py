@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sasbp.core import Action, PartialState, validate_plan  # noqa: E402
 from sasbp.fileformat import FormatError, parse_instance, write_instance  # noqa: E402
 from sasbp import steiner  # noqa: E402
-from sasbp.oracle import decide_bfs  # noqa: E402
+from sasbp.oracle import _goal_writes, _moves_after, _packed, decide_bfs  # noqa: E402
 from sasbp.planner02 import reduce_to_steiner, solve  # noqa: E402
 from sasbp.steiner import (  # noqa: E402
     SteinerInstance,
@@ -27,6 +27,7 @@ from helpers import (  # noqa: E402
     reference_layers,
     reference_parse_instance,
     reference_validate_plan,
+    redundant,
     same_as_tuple_bfs,
     tuple_bfs,
 )
@@ -195,11 +196,12 @@ def test_layers_agree_with_reference_layering():
 
 
 @st.composite
-def small_task(draw):
-    """A task with preconditions over one to four variables of one to five
-    values each, so bit fields of one to three bits and domain sizes that are
-    not powers of two.  The goal may leave any variable out, and each goal
-    variable with a choice wants a value other than its initial one."""
+def small_task(draw, guarded: bool = True, least_effects: int = 1):
+    """A task over one to four variables of one to five values each, so bit
+    fields of one to three bits and domain sizes that are not powers of two.
+    Actions have up to two preconditions when guarded, none otherwise, and
+    least_effects to three effects.  The goal may leave any variable out, and
+    each goal variable with a choice wants a value other than its initial one."""
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     size = {f"v{i}": n for i, n in enumerate(sizes)}
 
@@ -213,8 +215,56 @@ def small_task(draw):
         n: str((int(init[n]) + draw(st.integers(1, max(1, size[n] - 1)))) % size[n])
         for n in partial(1, len(size))
     }
-    actions = [(f"a{j}", partial(0, 2), partial(1, 3)) for j in range(draw(st.integers(1, 6)))]
+    actions = [
+        (f"a{j}", partial(0, 2 if guarded else 0), partial(least_effects, 3))
+        for j in range(draw(st.integers(1, 6)))
+    ]
     return make_query(size, actions, init, goal, draw(st.integers(1, 5)))
+
+
+def test_move_lists_and_goal_counts_match_the_pairwise_references():
+    # every generator's move list is the actions the pairwise rule keeps, in
+    # declaration order; the goal fields each action sets on and off their goal
+    # value, counted by popcount when every goal field is one bit wide and
+    # field by field always, are those read off its effect
+    seen = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.booleans().flatmap(lambda guarded: small_task(guarded, least_effects=0)))
+    def check(query):
+        inst = query.instance
+        pack, actions = _packed(inst)
+        moves = list(enumerate(actions))
+        for b in range(len(actions)):
+            kept = [a for a in range(len(actions)) if not redundant(a, b, actions)]
+            assert [a for a, _ in _moves_after(b, moves, actions)] == kept
+        counts = [
+            (
+                sum(action.eff.get(name) == value for name, value in inst.goal.items()),
+                sum(action.eff.get(name, value) != value for name, value in inst.goal.items()),
+            )
+            for action in inst.actions
+        ]
+        goal_mask, goal_bits = pack(inst.goal)
+        goals = [pack({name: value}) for name, value in inst.goal.items()]
+        assert _goal_writes(actions, goal_mask, goal_bits, goals) == counts
+        widths = {(len(v.domain) - 1).bit_length() for v in inst.variables if v.name in inst.goal}
+        if widths <= {0, 1}:
+            assert _goal_writes(actions, goal_mask, goal_bits, None) == counts
+        seen.append((
+            any(a.pre for a in inst.actions),
+            not any(a.pre for a in inst.actions),
+            any(not a.eff for a in inst.actions),
+            widths <= {0, 1},
+            2 in widths,
+            3 in widths,
+        ))
+
+    check()
+    # guarded and precondition-free tasks, an effect-free action, goals of
+    # one-bit fields only, and two- and three-bit goal fields each turn up in
+    # more than a tenth of the examples
+    assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 
 def test_packed_oracle_agrees_with_tuple_reference():
@@ -269,12 +319,16 @@ def task_0e(draw):
     return make_query(size, actions, init, goal, draw(st.integers(1, 5)))
 
 
-def test_precondition_free_oracle_agrees_with_tuple_reference_at_every_budget():
+def test_oracle_agrees_with_tuple_reference_at_every_budget():
+    # precondition-free (0, <=3) tasks and guarded tasks, with one-bit and
+    # wider goal fields, so that each expansion loop of decide_bfs runs:
+    # unbounded levels, and bounded ones with one-bit and with wider fields
     seen = []
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @given(task_0e())
+    @given(st.booleans().flatmap(lambda guarded: small_task() if guarded else task_0e()))
     def check(query):
+        inst = query.instance
         result = same_as_tuple_bfs(query)
         # every budget from one state up to one past the states expanded
         limited = [
@@ -285,13 +339,17 @@ def test_precondition_free_oracle_agrees_with_tuple_reference_at_every_budget():
             result.decision,
             not result.decision,
             any(limited),
-            any(len(a.eff) == 3 for a in query.instance.actions),
+            any(len(a.eff) == 3 for a in inst.actions),
+            any(a.pre for a in inst.actions),
+            any(len(v.domain) > 2 for v in inst.variables if v.name in inst.goal),
             tuple_bfs(query).explored_states > result.explored_states,
         ))
 
     check()
-    # YES, NO, an exhausted budget, a three-effect action and a state the
-    # goal-count bound drops each turn up in more than a tenth of the examples
+    # YES, NO, an exhausted budget, a three-effect action, a guarded task, a
+    # goal field wider than one bit and a state the goal-count bound drops,
+    # which only a bounded level does, each turn up in more than a tenth of
+    # the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 
