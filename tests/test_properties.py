@@ -319,7 +319,7 @@ def task_0e(draw):
     return make_query(size, actions, init, goal, draw(st.integers(1, 5)))
 
 
-def test_oracle_agrees_with_tuple_reference_at_every_budget():
+def test_precondition_free_oracle_agrees_with_tuple_reference_at_every_budget():
     # precondition-free (0, <=3) tasks and guarded tasks, with one-bit and
     # wider goal fields, so that each expansion loop of decide_bfs runs:
     # unbounded levels, and bounded ones with one-bit and with wider fields
