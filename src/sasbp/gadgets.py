@@ -118,6 +118,8 @@ class MulticoloredGraph:
 
     @classmethod
     def empty(cls, num_classes: int, per_class: int) -> "MulticoloredGraph":
+        if per_class < 1:
+            raise ValueError(f"need at least one vertex per color class, got {per_class}")
         names = tuple(
             tuple(f"v{i}.{j}" for j in range(1, per_class + 1))
             for i in range(1, num_classes + 1)

@@ -5,9 +5,18 @@ It explores total states in breadth-first order up to the plan length bound,
 deduplicates states, and reconstructs a shortest witness plan.  Expansion
 follows action declaration order, so results are deterministic and the
 returned witness is the lexicographically least among the shortest plans.
-States are ints packed as in Fast Downward (Helmert, JAIR 2006), one bit
-field per variable holding its value's index in the domain: a precondition or
-the goal is one test state & mask == bits, an effect (state & keep) | bits.
+States are ints packed as in Fast Downward (Helmert, JAIR 2006): one bit
+field per variable holding its value's index in the domain, then one off-goal
+bit per goal variable of more than two values, which the init and each effect
+on the variable set to whether the value misses the goal.  The bit is a
+function of its field, so packed states map one-to-one onto value tuples and
+the search stores, orders and counts the same states; an effect mask holds
+the bit exactly when it holds the field, so the mask tests of move pruning
+below decide as they would on the fields alone.  A precondition, which
+leaves the bit out, is one test state & mask == bits, and an effect is
+(state & keep) | bits.  The goal tests the one-bit goal fields and the
+off-goal bits, so the goal fields a state has off their goal value are one
+popcount of (state ^ goal_bits) & goal_mask.
 
 Expansion skips the successors that are provably stored already, the part of
 move pruning (Holte & Burch, IJCAI 2014) that cannot change a breadth-first
@@ -65,13 +74,11 @@ action sets off their goal value.
 Each task's tables are built with bit operations, not a Python call per
 action pair.  The move list of a generator b is one comprehension over the
 actions that states rules (i) and (ii) on their masks, built the first time a
-state stored by b is expanded.  When every goal field is one bit wide, one
-popcount per action counts the goal fields it sets on and off their goal
-value, and one popcount per successor counts its goal fields off, before the
-successor is looked up among the stored states; wider goal fields are tested
-each under its own mask.  Each kind of level has its own expansion loop, for
-tasks with and without preconditions: unbounded, bounded with one-bit goal
-fields, and bounded with wider ones.
+state stored by b is expanded.  One popcount per action counts the goal fields
+it sets on and off their goal value, and one popcount per successor counts its
+goal fields off, before the successor is looked up among the stored states.
+Each kind of level has its own expansion loop, for tasks with and without
+preconditions: unbounded and bounded, four loops.
 """
 
 from __future__ import annotations
@@ -87,30 +94,50 @@ DEFAULT_MAX_STATES = 2_000_000
 
 @dataclass(frozen=True)
 class OracleResult:
-    decision: bool
+    """A shortest witness on YES, None on NO, and the states expanded; the
+    decision and the length are read from the witness."""
+
     witness: tuple[str, ...] | None
     explored_states: int
-    shortest_length: int | None
+
+    @property
+    def decision(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def shortest_length(self) -> int | None:
+        return None if self.witness is None else len(self.witness)
 
 
 def _packed(inst):
-    """The packing function of a task and its actions as (pre_mask, pre_bits,
-    eff_mask, eff_bits), in declaration order."""
+    """A task packed into ints: init and goal as (mask, bits), and each action
+    as (pre_mask, pre_bits, eff_mask, eff_bits), in declaration order.  A goal
+    variable of more than two values has an off-goal bit after every field,
+    which the goal tests in place of the field (module docstring)."""
     fields, width = {}, 0
     for var in inst.variables:
         size = max(1, (len(var.domain) - 1).bit_length())
         fields[var.name] = (width, ((1 << size) - 1) << width, var.domain)
         width += size
+    wide = [name for name in inst.goal if len(fields[name][2]) > 2]
+    flags = {name: 1 << (width + i) for i, name in enumerate(wide)}  # off-goal bits
 
-    def pack(partial):
+    def pack(partial, flagged=flags):
         mask = bits = 0
         for name, value in partial.items():
             at, field, domain = fields[name]
             mask |= field
             bits |= domain.index(value) << at
+        for name in flagged:
+            if name in partial:
+                mask |= flags[name]
+                if partial[name] != inst.goal[name]:
+                    bits |= flags[name]
         return mask, bits
 
-    return pack, [(*pack(action.pre), *pack(action.eff)) for action in inst.actions]
+    goal_mask, goal_bits = pack({n: v for n, v in inst.goal.items() if n not in flags}, ())
+    actions = [(*pack(action.pre, ()), *pack(action.eff)) for action in inst.actions]
+    return pack(inst.init), (goal_mask | sum(flags.values()), goal_bits), actions
 
 
 def _moves_after(b: int, moves, actions) -> list:
@@ -129,23 +156,13 @@ def _moves_after(b: int, moves, actions) -> list:
     ]
 
 
-def _goal_writes(actions, goal_mask: int, goal_bits: int, goals) -> list[tuple[int, int]]:
-    """The goal fields each action sets to their goal value, and off it.  With
-    goals None every goal field is one bit wide, and one popcount per action
-    counts each; otherwise goals holds each goal field's (mask, bits), tested
-    on its own."""
-    if goals is None:
-        return [
-            (
-                (eff_mask & goal_mask & ~(eff_bits ^ goal_bits)).bit_count(),
-                ((eff_bits ^ goal_bits) & eff_mask & goal_mask).bit_count(),
-            )
-            for _, _, eff_mask, eff_bits in actions
-        ]
+def _goal_writes(actions, goal_mask: int, goal_bits: int) -> list[tuple[int, int]]:
+    """The goal fields each action sets to their goal value, and off it: one
+    popcount each, over the one-bit goal fields and the off-goal bits."""
     return [
         (
-            sum(eff_mask & mask and eff_bits & mask == bits for mask, bits in goals),
-            sum(eff_mask & mask and eff_bits & mask != bits for mask, bits in goals),
+            (eff_mask & goal_mask & ~(eff_bits ^ goal_bits)).bit_count(),
+            ((eff_bits ^ goal_bits) & eff_mask & goal_mask).bit_count(),
         )
         for _, _, eff_mask, eff_bits in actions
     ]
@@ -178,19 +195,11 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
     parent links; the witness is recomputed from them.
     """
     inst, k = query.instance, query.k
-    pack, actions = _packed(inst)
-    everything, start = pack(inst.init)  # init is total: its mask is every field
-    goal_mask, goal_bits = pack(inst.goal)
-    # each goal field has at least one bit, so equal counts mean one bit each
-    one_bit = goal_mask.bit_count() == len(inst.goal)
-    goals = None if one_bit else [pack({name: value}) for name, value in inst.goal.items()]
-    writes = _goal_writes(actions, goal_mask, goal_bits, goals)
+    # init is total: its mask is every field and off-goal bit
+    (everything, start), (goal_mask, goal_bits), actions = _packed(inst)
+    writes = _goal_writes(actions, goal_mask, goal_bits)
     per_step = max([1] + [fixed for fixed, _ in writes])
     spoils = max([0] + [broken for _, broken in writes])
-
-    def off(state: int) -> int:
-        """The goal fields of state off their goal value, each under its own mask."""
-        return sum(state & mask != bits for mask, bits in goals)
 
     guarded = any(pre_mask for pre_mask, _, _, _ in actions)
     moves = [  # (index, keep, bits) when no action has a precondition
@@ -204,7 +213,7 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
     level, made_by = [start], [len(moves)]  # the start's sentinel n tries every move
     explored = depth = 0
     # the most goal fields off in a state of the level
-    reach = ((start ^ goal_bits) & goal_mask).bit_count() if one_bit else off(start)
+    reach = ((start ^ goal_bits) & goal_mask).bit_count()
     while level:
         limit = (k - depth - 1) * per_step  # the most goal fields off a successor may have
         reach = min(reach + spoils, len(inst.goal))  # the most one can have
@@ -219,7 +228,7 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                     f"{explored} states expanded, {len(parent)} stored"
                 )
             if state & goal_mask == goal_bits:
-                return OracleResult(True, _witness(state, parent, inst, actions), explored, depth)
+                return OracleResult(_witness(state, parent, inst, actions), explored)
             if depth == k:
                 continue
             tries = after[b]
@@ -234,20 +243,12 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                                 parent[successor] = state
                                 store(successor)
                                 note(index)
-                elif one_bit:
+                else:
                     for index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
                         if state & pre_mask == pre_bits:
                             successor = (state & keep_mask) | eff_bits
                             if (((successor ^ goal_bits) & goal_mask).bit_count() <= limit
                                     and successor not in parent):
-                                parent[successor] = state
-                                store(successor)
-                                note(index)
-                else:
-                    for index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
-                        if state & pre_mask == pre_bits:
-                            successor = (state & keep_mask) | eff_bits
-                            if successor not in parent and off(successor) <= limit:
                                 parent[successor] = state
                                 store(successor)
                                 note(index)
@@ -258,7 +259,7 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                         parent[successor] = state
                         store(successor)
                         note(index)
-            elif one_bit:
+            else:
                 for index, keep_mask, eff_bits in tries:
                     successor = (state & keep_mask) | eff_bits
                     if (((successor ^ goal_bits) & goal_mask).bit_count() <= limit
@@ -266,13 +267,6 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                         parent[successor] = state
                         store(successor)
                         note(index)
-            else:
-                for index, keep_mask, eff_bits in tries:
-                    successor = (state & keep_mask) | eff_bits
-                    if successor not in parent and off(successor) <= limit:
-                        parent[successor] = state
-                        store(successor)
-                        note(index)
         level, made_by = states, generators
         depth += 1
-    return OracleResult(False, None, explored, None)
+    return OracleResult(None, explored)

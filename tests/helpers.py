@@ -164,7 +164,7 @@ def tuple_bfs(
                 cursor, action_index = came_from[cursor]
                 steps.append(actions[action_index][0])
             steps.reverse()
-            return OracleResult(True, tuple(steps), explored, depth)
+            return OracleResult(tuple(steps), explored)
         if depth == query.k:
             continue
         for action_index, (_, pre, eff) in enumerate(actions):
@@ -182,7 +182,7 @@ def tuple_bfs(
                     continue
             came_from[successor] = (state, action_index)
             queue.append((successor, depth + 1))
-    return OracleResult(False, None, explored, None)
+    return OracleResult(None, explored)
 
 
 def redundant(a: int, b: int, actions) -> bool:

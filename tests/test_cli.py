@@ -385,6 +385,8 @@ class TestGenerate:
             (("generate", "compose-02", "--t", "-1"), "need at least two inputs"),
             (("generate", "clique", "--edge-prob", "2"), "edge probability must lie in [0, 1]"),
             (("generate", "clique", "--edge-prob", "-1"), "edge probability must lie in [0, 1]"),
+            (("generate", "clique", "--per-class", "-2"), "at least one vertex per color class"),
+            (("generate", "clique", "--per-class", "0", "--complete"), "at least one vertex"),
         ],
     )
     def test_usage_errors(self, capsys, tmp_path, argv, needle):

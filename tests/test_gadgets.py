@@ -96,6 +96,13 @@ class TestMulticoloredGraph:
         with pytest.raises(ValueError, match=r"edge probability must lie in \[0, 1\]"):
             MulticoloredGraph.random(3, 2, edge_prob, rng=0)
 
+    @pytest.mark.parametrize("build", ["empty", "complete", "random"])
+    @pytest.mark.parametrize("per_class", [0, -2])
+    def test_every_builder_rejects_a_class_without_vertices(self, build, per_class):
+        args = (3, per_class, 0.5) if build == "random" else (3, per_class)
+        with pytest.raises(ValueError, match="at least one vertex per color class"):
+            getattr(MulticoloredGraph, build)(*args)
+
 
 class TestCliqueGadget:
     def test_needs_two_classes(self):

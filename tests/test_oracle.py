@@ -85,7 +85,7 @@ def test_witness_skips_an_earlier_action_the_cover_rule_pruned():
         {"x": "1", "y": "1"},
         2,
     )
-    _, actions = _packed(q.instance)
+    *_, actions = _packed(q.instance)
     assert 0 not in {a for a, _ in _moves_after(1, list(enumerate(actions)), actions)}
     result = same_as_tuple_bfs(q)
     assert result.witness == ("set_y", "set_x")
@@ -131,9 +131,9 @@ def test_goal_count_bound_prunes_the_clique_gadget():
 
 def test_goal_count_bound_tests_a_wide_goal_field_under_its_own_mask():
     # x has three values, so a two-bit field; the only plan passes through
-    # x=2, whose bits 10 differ from the goal's 01 in both places.  Counted
-    # by bits, that state would have two goal fields off with one step left,
-    # and the search would answer NO
+    # x=2, whose bits 10 differ from the goal's 01 in both places.  That state
+    # has one goal field off, so one step left suffices; counted by the bits
+    # of x, it would have two off, and the search would answer NO
     q = make_query(
         {"x": 3, "y": 2},
         [("y_on_x_off", {}, {"x": "2", "y": "1"}), ("x_back", {"y": "1"}, {"x": "1"})],
@@ -141,9 +141,10 @@ def test_goal_count_bound_tests_a_wide_goal_field_under_its_own_mask():
         {"x": "1", "y": "1"},
         2,
     )
-    pack, _ = _packed(q.instance)
-    mask, bits = pack({"x": "1"})
-    assert (mask.bit_count(), ((pack({"x": "2"})[1] ^ bits) & mask).bit_count()) == (2, 2)
+    (_, start), (goal_mask, goal_bits), actions = _packed(q.instance)
+    _, _, eff_mask, eff_bits = actions[0]
+    x2 = (start & ~eff_mask) | eff_bits
+    assert ((x2 ^ goal_bits) & goal_mask).bit_count() == 1
     result = same_as_tuple_bfs(q)
     assert result.witness == ("y_on_x_off", "x_back")
     assert result.explored_states == 3
@@ -280,7 +281,7 @@ def test_skip_rules_truth_table():
         3,
     )
     names = [action.name for action in q.instance.actions]
-    _, actions = _packed(q.instance)
+    *_, actions = _packed(q.instance)
     b = names.index("b")
     skipped = set(names) - {name for _, name in _moves_after(b, list(enumerate(names)), actions)}
     # b covers itself: a second b leaves the state as it is
@@ -289,7 +290,7 @@ def test_skip_rules_truth_table():
 
 
 def test_skip_rules_drop_a_third_of_the_clique_gadget_pairs():
-    _, actions = _packed(gen_clique_gadget(MulticoloredGraph.complete(4, 2)).query.instance)
+    *_, actions = _packed(gen_clique_gadget(MulticoloredGraph.complete(4, 2)).query.instance)
     moves = list(enumerate(actions))
     tried = sum(len(_moves_after(b, moves, actions)) for b in range(len(actions)))
     pairs = len(actions) ** 2

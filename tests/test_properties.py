@@ -225,15 +225,16 @@ def small_task(draw, guarded: bool = True, least_effects: int = 1):
 def test_move_lists_and_goal_counts_match_the_pairwise_references():
     # every generator's move list is the actions the pairwise rule keeps, in
     # declaration order; the goal fields each action sets on and off their goal
-    # value, counted by popcount when every goal field is one bit wide and
-    # field by field always, are those read off its effect
+    # value, one popcount each, are those read off its effect; and one popcount
+    # of the packed init, and of its successor by each action, counts the goal
+    # variables off their goal value, at every field width
     seen = []
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.booleans().flatmap(lambda guarded: small_task(guarded, least_effects=0)))
     def check(query):
         inst = query.instance
-        pack, actions = _packed(inst)
+        (_, start), (goal_mask, goal_bits), actions = _packed(inst)
         moves = list(enumerate(actions))
         for b in range(len(actions)):
             kept = [a for a in range(len(actions)) if not redundant(a, b, actions)]
@@ -245,12 +246,17 @@ def test_move_lists_and_goal_counts_match_the_pairwise_references():
             )
             for action in inst.actions
         ]
-        goal_mask, goal_bits = pack(inst.goal)
-        goals = [pack({name: value}) for name, value in inst.goal.items()]
-        assert _goal_writes(actions, goal_mask, goal_bits, goals) == counts
+        assert _goal_writes(actions, goal_mask, goal_bits) == counts
+
+        def off(state) -> int:
+            return sum(state[name] != value for name, value in inst.goal.items())
+
+        assert ((start ^ goal_bits) & goal_mask).bit_count() == off(inst.init)
+        for action, (_, _, eff_mask, eff_bits) in zip(inst.actions, actions):
+            successor = (start & ~eff_mask) | eff_bits
+            after = {**inst.init, **action.eff}
+            assert ((successor ^ goal_bits) & goal_mask).bit_count() == off(after)
         widths = {(len(v.domain) - 1).bit_length() for v in inst.variables if v.name in inst.goal}
-        if widths <= {0, 1}:
-            assert _goal_writes(actions, goal_mask, goal_bits, None) == counts
         seen.append((
             any(a.pre for a in inst.actions),
             not any(a.pre for a in inst.actions),
@@ -320,13 +326,14 @@ def task_0e(draw):
 
 
 def test_precondition_free_oracle_agrees_with_tuple_reference_at_every_budget():
-    # precondition-free (0, <=3) tasks and guarded tasks, with one-bit and
-    # wider goal fields, so that each expansion loop of decide_bfs runs:
-    # unbounded levels, and bounded ones with one-bit and with wider fields
+    # precondition-free (0, <=3) tasks, guarded tasks and tasks with planted
+    # action pairs, with one-bit and wider goal fields, so that each of the
+    # four expansion loops of decide_bfs runs: guarded or precondition-free,
+    # at unbounded and at bounded levels
     seen = []
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @given(st.booleans().flatmap(lambda guarded: small_task() if guarded else task_0e()))
+    @given(st.one_of(small_task(), task_0e(), task_with_planted_pairs()))
     def check(query):
         inst = query.instance
         result = same_as_tuple_bfs(query)
@@ -335,21 +342,32 @@ def test_precondition_free_oracle_agrees_with_tuple_reference_at_every_budget():
             same_as_tuple_bfs(query, max_states=budget) is None
             for budget in range(1, result.explored_states + 2)
         ]
+        # the start level is unbounded when the goal fields off in init, plus
+        # the most one action sets off, are within what k - 1 steps can set;
+        # a state the bound drops shows a bounded level
+        goal = inst.goal.items()
+        per_step = max([1] + [sum(a.eff.get(n) == v for n, v in goal) for a in inst.actions])
+        spoils = max([0] + [sum(a.eff.get(n, v) != v for n, v in goal) for a in inst.actions])
+        off = sum(inst.init[n] != v for n, v in goal)
+        unbounded = 0 < off and min(off + spoils, len(goal)) <= (query.k - 1) * per_step
+        bounded = tuple_bfs(query).explored_states > result.explored_states
+        guarded = any(a.pre for a in inst.actions)
         seen.append((
             result.decision,
             not result.decision,
             any(limited),
             any(len(a.eff) == 3 for a in inst.actions),
-            any(a.pre for a in inst.actions),
             any(len(v.domain) > 2 for v in inst.variables if v.name in inst.goal),
-            tuple_bfs(query).explored_states > result.explored_states,
+            guarded and unbounded,
+            guarded and bounded,
+            not guarded and unbounded,
+            not guarded and bounded,
         ))
 
     check()
-    # YES, NO, an exhausted budget, a three-effect action, a guarded task, a
-    # goal field wider than one bit and a state the goal-count bound drops,
-    # which only a bounded level does, each turn up in more than a tenth of
-    # the examples
+    # YES, NO, an exhausted budget, a three-effect action, a goal field wider
+    # than one bit, and each of the four loops each turn up in more than a
+    # tenth of the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 
