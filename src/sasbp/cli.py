@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .core import BoundedQuery, ResourceLimitError, validate_plan
+from .core import DEFAULT_MAX_STATES, BoundedQuery, ResourceLimitError, validate_plan
 from .fileformat import (
     FormatError,
     parse_instance,
@@ -41,7 +41,6 @@ from .gadgets import (
     or_input_02,
     or_input_pub,
 )
-from .oracle import DEFAULT_MAX_STATES
 from .planner02 import METHODS, pick_method, reduce_to_steiner, solve
 from .preprocess import lemma1_transform
 from .restrictions import detect_profile, lookup_pe, lookup_pubs
@@ -283,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     budget = (
-        "the oracle's cap on expanded and on stored states, stored ones checked once per"
-        f" expansion (default {DEFAULT_MAX_STATES:,})"
+        "the work budget of every solver: the oracle's cap on expanded and on stored"
+        " states, stored ones checked once per expansion, and the Steiner subset"
+        f" table's cap on rows plus candidate splits (default {DEFAULT_MAX_STATES:,})"
     )
 
     def add_instance_arg(p):

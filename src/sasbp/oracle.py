@@ -85,11 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BoundedQuery, ResourceLimitError
-
-# A stored state of a 115-variable task costs ~116 bytes: 240 MB at the budget,
-# which a forced search of compose-02 k=3 t=2 reaches in about 2.4 s (2 vCPUs, Python 3.11).
-DEFAULT_MAX_STATES = 2_000_000
+from .core import DEFAULT_MAX_STATES, BoundedQuery, ResourceLimitError
 
 
 @dataclass(frozen=True)

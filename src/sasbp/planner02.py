@@ -21,17 +21,18 @@ afterwards; weight-0 arcs emit nothing.
 
 solve() is the entry point for any task: pick_method, the one statement of
 the (0, <=2) rule, routes that fragment here and everything else to the
-search oracle; the reduction asks it too.  A (0, <=2) task never goes to the
-oracle: when more than steiner.MAX_TABLE_TERMINALS terminals remain after
-solve_dst's presolve, the solve raises ResourceLimitError instead.
+search oracle; the reduction asks it too.  max_states is the one work budget
+of both solvers: the oracle counts states, solve_dst counts subset-table rows
+and candidate splits.  A (0, <=2) task never goes to the oracle: when its
+table would pass the budget, the solve raises ResourceLimitError instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BoundedQuery, PlanningInstance, validate_plan
-from .oracle import DEFAULT_MAX_STATES, decide_bfs
+from .core import DEFAULT_MAX_STATES, BoundedQuery, PlanningInstance, validate_plan
+from .oracle import decide_bfs
 from .restrictions import broken_variables, split_effects
 from .steiner import SteinerInstance, SteinerSolution, extract_arborescence, solve_dst
 
@@ -159,14 +160,14 @@ def extract_plan(
     )
 
 
-def solve_02(query: BoundedQuery) -> Planner02Result:
+def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Planner02Result:
     """Decide bounded plan existence for a (0, <=2) task.
 
     Reduces the task to a Steiner instance at the same bound and solves it
     exactly.  One step settles at most one terminal, or two through a pair
     node, so a larger terminal set is an outright NO.  solve_dst raises
-    ResourceLimitError when more terminals than its table takes remain after
-    its presolve.  On YES the witness is a shortest plan, re-validated
+    ResourceLimitError when the table rows and candidate splits it needs
+    pass max_states.  On YES the witness is a shortest plan, re-validated
     against the query before returning.
     """
     artifacts = reduce_to_steiner(query)
@@ -176,7 +177,7 @@ def solve_02(query: BoundedQuery) -> Planner02Result:
         return Planner02Result(artifacts=artifacts)
 
     stats: dict = {}
-    solution = solve_dst(steiner, stats_out=stats)
+    solution = solve_dst(steiner, stats_out=stats, max_states=max_states)
     entries = stats.get("table_entries")
     if solution is None:
         return Planner02Result(artifacts=artifacts, dp_table_entries=entries)
@@ -197,15 +198,16 @@ def solve(
     """Decide bounded plan existence for any task with the named method.
 
     "auto" takes pick_method's choice; "fpt02" runs solve_02 and raises
-    ValueError outside its fragment; "oracle" runs the breadth-first search,
-    the only one max_states bounds.  Both raise ResourceLimitError when
-    their limit is hit.
+    ValueError outside its fragment; "oracle" runs the breadth-first search.
+    max_states bounds both: the search's expanded and stored states, and the
+    Steiner subset table's rows and candidate splits.  Both raise
+    ResourceLimitError when it is passed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     if method == "auto":
         method = pick_method(query.instance)
     if method == "fpt02":
-        return solve_02(query)
+        return solve_02(query, max_states)
     oracle = decide_bfs(query, max_states=max_states)
     return Planner02Result(oracle.witness, explored_states=oracle.explored_states, method="oracle")

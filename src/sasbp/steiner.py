@@ -7,15 +7,20 @@ out-arborescence; None is returned when the minimum exceeds the bound.
 
 solve_dst first presolves: a sink terminal with a single in-arc from a
 node the root reaches takes that arc in every tree, so the arc is forced
-and its tail becomes a terminal in its place.  It then runs a subset
-dynamic program over the remaining terminal sets on the sparse arc list:
-the cheapest tree hanging off a node either follows one arc down or splits
-its terminal set there, so each terminal set takes one Dijkstra seeded with
-the split costs, and weights above the bound are dropped (Erickson, Monma
-and Veinott 1987).  The table has 2^t rows for t remaining terminals, so
-more than MAX_TABLE_TERMINALS of them raise ResourceLimitError.  brute_dst
-is an independent brute-force reference over small arc subsets used to
-cross-check the dynamic program.
+and its tail becomes a terminal in its place.  Sink terminals left with
+equal live in-arc lists are twins: in some optimal tree they all hang from
+one parent, the cheapest of those a tree uses, so one table row stands for
+each class.  It then runs a subset dynamic program over the remaining
+terminal sets on the sparse arc list: the cheapest tree hanging off a node
+either follows one arc down or splits its terminal set there, so each
+terminal set takes one Dijkstra seeded with the split costs, and weights
+above the bound are dropped (Erickson, Monma and Veinott 1987).  The table
+is exponential in the terminals, so it runs under the work budget
+max_states: one unit per table row, 2^t - 1 for t terminals, counted before
+any row is built, and one per candidate split, counted per terminal set
+before its splits are tried.  Passing the budget raises ResourceLimitError.
+brute_dst is an independent brute-force reference over small arc subsets
+used to cross-check the dynamic program.
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .core import ResourceLimitError
+from .core import DEFAULT_MAX_STATES, ResourceLimitError
 
 INFINITY = math.inf
-MAX_TABLE_TERMINALS = 18
 
 
 @dataclass(frozen=True)
@@ -176,22 +180,26 @@ def _presolve(inst: SteinerInstance, into, out):
     return sorted(remaining), forced
 
 
-def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSolution | None:
+def solve_dst(
+    inst: SteinerInstance, stats_out: dict | None = None, max_states: int = DEFAULT_MAX_STATES
+) -> SteinerSolution | None:
     """Minimum-weight directed Steiner tree within the bound, or None.
 
-    After the presolve (see _presolve), table f[S][v] is the cheapest
-    weight, within the bound left after the forced arcs, of a tree rooted
-    at v covering subset S of the remaining terminals.  A singleton row is a
-    Dijkstra from its terminal.  A larger subset first splits in two at the
-    nodes where a tree can branch (out-degree two or more, or a terminal of
-    S) and that reach all of S; a Dijkstra from those split costs then
-    carries the subtree back along single arcs.  A terminal beyond the bound
-    from the root is a NO before any larger subset is tabled, and before
-    the terminal count is checked against MAX_TABLE_TERMINALS.
-    Reconstruction follows the recorded next hops and splits, so
-    equal-weight ties resolve deterministically by node declaration order,
-    and adds the forced arcs back.  Raises ResourceLimitError when more than
-    MAX_TABLE_TERMINALS terminals remain.
+    After the presolve (see _presolve), each class of m >= 2 twin sinks
+    (module docstring) keeps its first member, whose row is seeded with m
+    times the weight of each in-arc at that arc's tail.  Table f[S][v] is
+    then the cheapest weight, within the bound left after the forced arcs,
+    of a tree rooted at v covering subset S of the remaining terminals.  A
+    singleton row is a Dijkstra from its terminal, or from its twins'
+    parents.  A larger subset first splits in two at the nodes where a tree
+    can branch (out-degree two or more, or a terminal of S) and that reach
+    all of S; a Dijkstra from those split costs then carries the subtree
+    back along single arcs.  Raises ResourceLimitError when the work passes
+    max_states (module docstring).  A terminal beyond the bound from the
+    root is a NO before any larger subset is tabled.  Reconstruction
+    follows the recorded next hops and splits, so equal-weight ties resolve
+    deterministically by node declaration order, hangs every twin from the
+    parent its class's hop chain ends at, and adds the forced arcs back.
     """
     n = len(inst.nodes)
     index = inst.index
@@ -222,8 +230,26 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
     if len(t_idx) * min(inst.weights.values()) > bound:
         # Each remaining terminal needs a distinct (and has a live) in-arc.
         return None
+    twins: dict[int, list[int]] = {}
+    sinks = [t for t in t_idx if not out[t]]
+    if len(sinks) >= 2:
+        classes: dict[tuple, list[int]] = {}
+        for t in sinks:
+            classes.setdefault(tuple(sorted(into[t])), []).append(t)
+        twins = {group[0]: group for group in classes.values() if len(group) >= 2}
+        dropped = {t for group in twins.values() for t in group[1:]}
+        t_idx = [t for t in t_idx if t not in dropped]
+    if stats_out is not None:
+        stats_out["merged"] = sum(len(group) - 1 for group in twins.values())
+
     full = (1 << len(t_idx)) - 1
-    rows = [_descend(into, {t: 0}, bound) for t in t_idx]
+    work = full
+    if work > max_states:
+        raise _out_of_budget(max_states, work, len(t_idx))
+    rows = [
+        _descend(into, {u: len(twins[t]) * w for u, w in into[t]} if t in twins else {t: 0}, bound)
+        for t in t_idx
+    ]
     reach = [0] * n
     t_mask = [0] * n
     for bit, (t, (row, _)) in enumerate(zip(t_idx, rows)):
@@ -234,11 +260,6 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
     if reach[root] != full:
         # Some terminal lies beyond the bound from the root.
         return None
-    if len(t_idx) > MAX_TABLE_TERMINALS:
-        raise ResourceLimitError(
-            f"{len(t_idx)} terminals remain after presolve; the subset table "
-            f"takes at most {MAX_TABLE_TERMINALS}"
-        )
 
     f: list = [None] * (full + 1)
     hops: list = [None] * (full + 1)
@@ -258,6 +279,9 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
             if sub & low:
                 halves.append((f[sub], f[mask ^ sub], sub))
             sub = (sub - 1) & mask
+        work += len(branch) * len(halves)
+        if work > max_states:
+            raise _out_of_budget(max_states, work, len(t_idx))
         merged, split = {}, {}
         for u in branch:
             best = bound + 1
@@ -287,6 +311,9 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
         if mask & (mask - 1):
             sub = splits[mask][v]
             stack += [(sub, v), (mask ^ sub, v)]
+        else:
+            for x in twins.get(t_idx[mask.bit_length() - 1], ()):
+                arcs.add((inst.nodes[v], inst.nodes[x]))
     solution = _tree(inst, arcs)
     if solution.total_weight != best + forced_weight:
         raise RuntimeError(
@@ -294,6 +321,13 @@ def solve_dst(inst: SteinerInstance, stats_out: dict | None = None) -> SteinerSo
             f"{best} plus the forced weight {forced_weight} is {best + forced_weight}"
         )
     return solution
+
+
+def _out_of_budget(max_states: int, work: int, terminals: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"work budget of {max_states} exhausted: {terminals} terminals remain after "
+        f"presolve and merge, and their subset table takes at least {work} rows and candidate splits"
+    )
 
 
 def brute_dst(inst: SteinerInstance, max_subsets: int = 2_000_000) -> SteinerSolution | None:

@@ -173,14 +173,30 @@ class TestSolve:
         path = tmp_path / "chain.sasbp"
         path.write_text(write_instance(chain_query(19)))
         steiner = tmp_path / "chain.stp"
+        message = (
+            "resource limit: work budget of 2000000 exhausted:"
+            " 19 terminals remain after presolve and merge"
+        )
         for argv in (("solve", str(path)), ("solve", str(path), "--method", "fpt02")):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, "")
-            assert "resource limit: 19 terminals remain" in err
+            assert message in err
         assert run(capsys, "to-steiner", str(path), "--out", str(steiner))[0] == 0
         code, out, err = run(capsys, "steiner", "solve", str(steiner))
         assert (code, out) == (3, "")
-        assert "resource limit: 19 terminals remain" in err
+        assert message in err
+
+    def test_work_budget_bounds_the_steiner_table(self, capsys, tmp_path):
+        # chain_query(4) answers at the default budget; its table takes 65
+        # rows and candidate splits
+        path = tmp_path / "chain.sasbp"
+        path.write_text(write_instance(chain_query(4)))
+        assert run(capsys, "solve", str(path))[0] == 0
+        assert run(capsys, "solve", str(path), "--max-states", "65")[0] == 0
+        for method in ("auto", "fpt02"):
+            code, out, err = run(capsys, "solve", str(path), "--method", method, "--max-states", "64")
+            assert (code, out) == (3, "")
+            assert "resource limit: work budget of 64 exhausted: 4 terminals" in err
 
     def test_repeated_runs_are_byte_identical(self, capsys, trade_file):
         first = run(capsys, "solve", trade_file, "--json")
@@ -609,8 +625,9 @@ class TestErrorsAndEntry:
         assert info.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
         assert (
-            "--max-states MAX_STATES the oracle's cap on expanded and on stored states,"
-            " stored ones checked once per expansion (default 2,000,000)"
+            "--max-states MAX_STATES the work budget of every solver: the oracle's cap on"
+            " expanded and on stored states, stored ones checked once per expansion, and"
+            " the Steiner subset table's cap on rows plus candidate splits (default 2,000,000)"
         ) in text
 
     @staticmethod

@@ -23,7 +23,6 @@ from sasbp.fileformat import write_instance
 from sasbp.core import validate_plan
 from sasbp.oracle import decide_bfs
 from sasbp.planner02 import solve_02
-from sasbp.steiner import MAX_TABLE_TERMINALS
 from sasbp.restrictions import detect_profile, split_effects
 from helpers import make_query
 
@@ -377,18 +376,18 @@ class TestComposeOr02:
         assert out.ground_truth == NO
         result = solve_02(out.query)
         terminals = result.artifacts.steiner.terminals
-        assert 2 <= len(terminals) <= min(MAX_TABLE_TERMINALS, out.query.k)
+        assert 2 <= len(terminals) <= out.query.k
         assert not result.decision and not result.fallback
         assert result.dp_table_entries is None
 
-    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4])
     def test_high_rungs_are_solved_exactly(self, k):
         # 19 (k=3) or 29 (k=4) terminals before the presolve; forcing the
-        # single in-arc of each sink leaves a table small enough to solve
+        # single in-arc of each sink and merging the twin sinks of the YES
+        # inputs leaves a table small enough to solve, for every pattern
         for t in (2, 3, 4):
-            middle = "n" * (t // 2) + "y" + "n" * (t - t // 2 - 1)
             lengths = set()
-            for pattern in dict.fromkeys(("y" + "n" * (t - 1), "n" * (t - 1) + "y", middle, "n" * t)):
+            for pattern in itertools.product("yn", repeat=t):
                 out = compose_or_02([or_input_02(k, c == "y") for c in pattern])
                 result = solve_02(out.query)
                 assert result.decision == (out.ground_truth == YES), pattern

@@ -169,13 +169,15 @@ def test_more_broken_variables_than_bound_is_an_instant_no():
 
 
 def test_too_many_terminals_after_presolve_is_a_resource_limit():
-    # 19 terminals, none of them a sink with a single in-arc: the subset
-    # table would need 2^19 rows, so the solve gives up instead of searching
+    # 19 terminals, none of them a sink with a single in-arc or a twin: the
+    # subset table's rows and splits pass the work budget, so the solve gives
+    # up instead of searching
     query = chain_query(19)
     assert len(reduce_to_steiner(query).steiner.terminals) == 19
-    with pytest.raises(ResourceLimitError, match="19 terminals remain"):
+    message = "work budget of 2000000 exhausted: 19 terminals remain after presolve and merge"
+    with pytest.raises(ResourceLimitError, match=message):
         solve_02(query)
-    with pytest.raises(ResourceLimitError, match="19 terminals remain"):
+    with pytest.raises(ResourceLimitError, match=message):
         solve(query)
     # the same shape with few terminals is solved exactly
     small = chain_query(4)
@@ -411,6 +413,21 @@ def test_resource_limit_propagates_from_solve():
             solve(query, method, max_states=1)
 
 
+def test_work_budget_bounds_the_steiner_table():
+    # chain_query(4) tables 4 terminals: 15 rows, then 50 candidate splits
+    query = chain_query(4)
+    answer = solve(query)
+    assert answer.decision and answer.method == "fpt02"
+    for method in ("auto", "fpt02"):
+        with pytest.raises(ResourceLimitError, match="work budget of 14 exhausted: 4 terminals"):
+            solve(query, method, max_states=14)
+        with pytest.raises(ResourceLimitError, match="at least 65 rows and candidate splits"):
+            solve(query, method, max_states=64)
+        assert solve(query, method, max_states=65) == answer
+    with pytest.raises(ResourceLimitError, match="work budget of 64 exhausted"):
+        solve_02(query, max_states=64)
+
+
 def _pinned_tasks(family):
     """(name, query) of every task of one family on the pinned grid, in order."""
     if family == "random-02":
@@ -470,7 +487,7 @@ def _answer_digests(family):
             "compose-02",
             24,
             "cf9bcc339dd92a20d8e75a34c978a16508e77cb4ea098480d4ceb235447651ee",
-            "94e831482db16f72fcdc56b59c32c131609cb078de2a0f2627da81623daeea79",
+            "544713b8ff54af1d9328d35fa7bf863ed1b797559029ee0496b570e22ffdc9c7",
         ),
         (
             "compose-pub",

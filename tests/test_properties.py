@@ -122,6 +122,64 @@ def test_presolve_forcing_agrees_with_brute_force():
 
 
 @st.composite
+def steiner_with_twins(draw) -> SteinerInstance:
+    """A small drawn graph with two or three planted twin sinks: each gets
+    the same in-arcs, from two or three tails at drawn weights.  With every
+    tail reached from the root the merge gives the class one row; with one
+    tail cut off, each twin keeps a single live in-arc and is forced.  Now
+    and then a decoy sink gets the same tails at other weights, or the first
+    twin an out-arc, which makes it no sink and so no twin."""
+    n = draw(st.integers(2, 5))
+    nodes = tuple(f"n{i}" for i in range(n))
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    arcs = draw(st.lists(st.sampled_from(pairs), min_size=n - 1, max_size=6, unique=True))
+    weights = {arc: draw(st.sampled_from((0, 1, 2))) for arc in arcs}
+    terminals = draw(st.lists(st.sampled_from(nodes[1:]), max_size=2, unique=True))
+    tails = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=3, unique=True))
+    in_arcs = [(tail, draw(st.sampled_from((0, 1, 2)))) for tail in tails]
+    twins = tuple(f"twin{i}" for i in range(draw(st.integers(2, 3))))
+    for twin in twins:
+        for tail, w in in_arcs:
+            weights[tail, twin] = w
+    leaves = twins
+    if draw(st.booleans()):
+        leaves += ("decoy",)
+        for tail, w in in_arcs:
+            weights[tail, "decoy"] = w + (tail == tails[0])
+    if draw(st.booleans()):
+        weights["twin0", draw(st.sampled_from(nodes[1:] + twins[1:]))] = draw(st.sampled_from((0, 1)))
+    bound = draw(st.integers(0, 10))
+    # twins may be declared anywhere after the root, which moves tie-breaks
+    declared = (nodes[0],) + tuple(draw(st.permutations(nodes[1:] + leaves)))
+    return SteinerInstance(declared, weights, nodes[0], tuple(terminals) + leaves, bound)
+
+
+def test_twin_merge_agrees_with_brute_force():
+    merged = []
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(steiner_with_twins())
+    def check(inst):
+        stats = {}
+        fast = solve_dst(inst, stats_out=stats)
+        slow = brute_dst(inst)
+        merged.append(stats.get("merged", 0))
+        assert (fast is None) == (slow is None)
+        if fast is None:
+            return
+        assert fast.total_weight == slow.total_weight <= inst.bound
+        assert fast.total_weight == sum(inst.weights[arc] for arc in fast.arcs)
+        assert reaches_all(inst.root, inst.terminals, fast.arcs)
+        heads = [head for _, head in fast.arcs]
+        assert len(heads) == len(set(heads)) and inst.root not in heads
+        assert all(tail == inst.root or tail in heads for tail, _ in fast.arcs)
+
+    check()
+    # the merge ran, not only the presolve's forcing
+    assert sum(1 for n in merged if n) >= len(merged) // 3, merged
+
+
+@st.composite
 def task_with_pairs(draw):
     """A (0, <=2) task whose reduction has pair nodes.  Every variable wants
     1.  One or two actions set two variables at once.  Each other variable

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sasbp import steiner
 from sasbp.core import ResourceLimitError
 from sasbp.planner02 import PAIR, reduce_to_steiner
 from sasbp.steiner import (
@@ -142,22 +143,73 @@ def test_early_no_when_a_terminal_is_out_of_reach():
     assert stats["table_entries"] == 4
 
 
-def test_terminal_limit_after_presolve():
-    # 19 terminals, each with two in-arcs, so the presolve forces nothing;
-    # t19's in-arcs hang 19 below the root
+def _nineteen_terminals(private_parents):
+    """19 terminals, each with two in-arcs, so the presolve forces nothing;
+    t19's in-arcs hang 19 below the root.  t1..t18 hang off r and a, both at
+    weight 1, so they are twins, unless each gets a private parent c_i in
+    place of a."""
     terms = tuple(f"t{i}" for i in range(1, 20))
     weights = {("r", "a"): 0, ("r", "p"): 19, ("r", "q"): 19}
-    for t in terms[:-1]:
-        weights[("r", t)] = weights[("a", t)] = 1
+    parents = tuple(f"c{i}" for i in range(1, 19)) if private_parents else ()
+    for c in parents:
+        weights[("a", c)] = 0
+    for t, parent in zip(terms, parents or ("a",) * 18):
+        weights[("r", t)] = weights[(parent, t)] = 1
     weights[("p", "t19")] = weights[("q", "t19")] = 1
-    nodes = ("r", "a", "p", "q") + terms
+    return ("r", "a", "p", "q") + parents + terms, weights, terms
 
+
+def test_terminal_limit_after_presolve():
+    nodes, weights, terms = _nineteen_terminals(private_parents=True)
     far = SteinerInstance(nodes, weights, "r", terms, 19)
     stats = {}
     assert solve_dst(far, stats_out=stats) is None  # t19 is 20 away
-    assert stats["forced"] == 0 and stats["terminals"] == 19
-    with pytest.raises(ResourceLimitError, match="19 terminals remain"):
+    assert stats == {"forced": 0, "terminals": 19, "merged": 0}
+    message = (
+        "work budget of 2000000 exhausted: 19 terminals remain after presolve and merge,"
+        " and their subset table takes at least"
+    )
+    with pytest.raises(ResourceLimitError, match=message):
         solve_dst(SteinerInstance(nodes, weights, "r", terms, 38))
+
+
+def test_twin_sinks_share_one_row():
+    # t1..t18 have equal in-arc lists, so one row stands for all of them and
+    # the table runs on 2 terminals; every twin hangs from r, which wins the
+    # weight tie with a by its lower declaration
+    nodes, weights, terms = _nineteen_terminals(private_parents=False)
+    inst = SteinerInstance(nodes, weights, "r", terms, 38)
+    stats = {}
+    solution = solve_dst(inst, stats_out=stats)
+    assert stats == {"forced": 0, "terminals": 19, "merged": 17, "table_entries": 3 * len(nodes)}
+    assert solution.total_weight == 38
+    assert set(solution.arcs) == {("r", t) for t in terms[:-1]} | {("r", "p"), ("p", "t19")}
+    tight = SteinerInstance(nodes, weights, "r", terms, 37)
+    assert solve_dst(tight) is None
+
+
+def test_work_budget_counts_rows_and_splits():
+    # diamond: 2 terminals, so 3 rows, then one split mask with a branch
+    # node set {s, b} and one pair of halves: 5 units in all
+    with pytest.raises(ResourceLimitError, match="work budget of 2 exhausted: 2 terminals"):
+        solve_dst(diamond(), max_states=2)
+    with pytest.raises(ResourceLimitError, match="at least 5 rows and candidate splits"):
+        solve_dst(diamond(), max_states=4)
+    assert solve_dst(diamond(), max_states=5) == solve_dst(diamond())
+
+
+def test_thirty_terminals_are_refused_before_any_row(monkeypatch):
+    terms = tuple(f"t{i}" for i in range(30))
+    weights = {}
+    for i, t in enumerate(terms):
+        weights[("r", t)] = weights[(f"c{i}", t)] = 1
+        weights[("r", f"c{i}")] = 0
+    nodes = ("r",) + tuple(f"c{i}" for i in range(30)) + terms
+    rows = []
+    monkeypatch.setattr(steiner, "_descend", lambda *args: rows.append(args))
+    with pytest.raises(ResourceLimitError, match="30 terminals remain .* at least 1073741823 rows"):
+        solve_dst(SteinerInstance(nodes, weights, "r", terms, 30))
+    assert rows == []
 
 
 def test_early_exit_when_terminals_exceed_budget():
