@@ -9,7 +9,8 @@ solve, generate, bench.  Exit codes are uniform across subcommands:
     3   resource limit hit before a decision
 
 All output is deterministic for a given input, so repeated runs are byte
-identical and safe to diff.
+identical and safe to diff, except the wall-clock seconds column of the
+bench CSV; every other byte of that report is deterministic too.
 """
 
 from __future__ import annotations

@@ -5,17 +5,19 @@ are infinite), a root, a terminal set and a bound.  A solution is an arc set of
 minimum total weight that reaches every terminal from the root, pruned to an
 out-arborescence; None is returned when the minimum exceeds the bound.
 
-solve_dst first presolves: a sink terminal with a single in-arc from a
-node the root reaches takes that arc in every tree, so the arc is forced
-and its tail becomes a terminal in its place.  Sink terminals left with
-equal live in-arc lists are twins: in some optimal tree they all hang from
-one parent, the cheapest of those a tree uses, so one table row stands for
-each class.  It then runs a subset dynamic program over the remaining
-terminal sets on the sparse arc list: the cheapest tree hanging off a node
-either follows one arc down or splits its terminal set there, so each
-terminal set takes one Dijkstra seeded with the split costs, and weights
-above the bound are dropped (Erickson, Monma and Veinott 1987).  The table
-is exponential in the terminals, so it runs under the work budget
+solve_dst first presolves, deciding each terminal in one pass by its live
+in-arcs, those from nodes the root reaches.  A terminal with none is a NO.
+A sink terminal, one without out-arcs, with a single live in-arc takes that
+arc in every tree, so the arc is forced and its tail becomes a terminal in
+its place (the degree test of Duin and Volgenant 1989).  Sink terminals
+with equal lists of two or more live in-arcs are twins: in some optimal
+tree they all hang from one parent, the cheapest of those a tree uses, so
+one table row stands for each class.  It then runs a subset dynamic program
+over the remaining terminal sets on the sparse arc list: the cheapest tree
+hanging off a node either follows one arc down or splits its terminal set
+there, so each terminal set takes one Dijkstra seeded with the split costs,
+and weights above the bound are dropped (Erickson, Monma and Veinott 1987).
+The table is exponential in the terminals, so it runs under the work budget
 max_states: one unit per table row, 2^t - 1 for t terminals, counted before
 any row is built, and one per candidate split, counted per terminal set
 before its splits are tried.  Passing the budget raises ResourceLimitError.
@@ -151,33 +153,35 @@ def _reachable(out: list[list[int]], root: int) -> list[bool]:
 
 
 def _presolve(inst: SteinerInstance, into, out):
-    """Apply the degree test for sink terminals (Duin and Volgenant 1989).
-
-    into holds live in-arcs only, those whose tail the root reaches.  A
-    terminal without one is a NO, returned as None.  A terminal without
-    out-arcs and with exactly one live in-arc (u, t) has that arc in every
-    tree, and no tree passes through it, so the arc is forced: t leaves the
-    terminal set and u joins it unless u is the root.  A new terminal u has
-    the out-arc (u, t), so forcing never makes another sink and one pass
-    suffices.  Returns the remaining terminal indices in declaration order
-    and the forced arcs as (tail, head, weight).
+    """Apply the sink rule (module docstring) to every non-root terminal in
+    one pass; into holds the live in-arcs only.  A forced arc's tail u has
+    the out-arc to the sink, so a new terminal is never a sink.  Returns None
+    for a NO, else the remaining terminal indices in declaration order, with
+    one member standing for each twin class, the forced arcs as (tail, head,
+    weight), and each class of m >= 2 twins, in declaration order, under its
+    first member.
     """
     root = inst.index[inst.root]
     remaining: set[int] = set()
     forced: list[tuple[int, int, int]] = []
+    classes: dict[tuple, list[int]] = {}
     for t in (inst.index[name] for name in inst.terminals):
         if t == root:
             continue
         if not into[t]:
             return None
-        if not out[t] and len(into[t]) == 1:
+        if out[t]:
+            remaining.add(t)
+        elif len(into[t]) == 1:
             u, w = into[t][0]
             forced.append((u, t, w))
             if u != root:
                 remaining.add(u)
         else:
-            remaining.add(t)
-    return sorted(remaining), forced
+            classes.setdefault(tuple(sorted(into[t])), []).append(t)
+    remaining.update(group[0] for group in classes.values())
+    twins = {group[0]: group for group in classes.values() if len(group) >= 2}
+    return sorted(remaining), forced, twins
 
 
 def solve_dst(
@@ -185,21 +189,23 @@ def solve_dst(
 ) -> SteinerSolution | None:
     """Minimum-weight directed Steiner tree within the bound, or None.
 
-    After the presolve (see _presolve), each class of m >= 2 twin sinks
-    (module docstring) keeps its first member, whose row is seeded with m
-    times the weight of each in-arc at that arc's tail.  Table f[S][v] is
-    then the cheapest weight, within the bound left after the forced arcs,
-    of a tree rooted at v covering subset S of the remaining terminals.  A
-    singleton row is a Dijkstra from its terminal, or from its twins'
-    parents.  A larger subset first splits in two at the nodes where a tree
-    can branch (out-degree two or more, or a terminal of S) and that reach
-    all of S; a Dijkstra from those split costs then carries the subtree
-    back along single arcs.  Raises ResourceLimitError when the work passes
-    max_states (module docstring).  A terminal beyond the bound from the
-    root is a NO before any larger subset is tabled.  Reconstruction
-    follows the recorded next hops and splits, so equal-weight ties resolve
-    deterministically by node declaration order, hangs every twin from the
-    parent its class's hop chain ends at, and adds the forced arcs back.
+    After the presolve (_presolve), the row of the first member of a class
+    of m >= 2 twins is seeded with m times the weight of each in-arc at that
+    arc's tail.  Table f[S][v] is the cheapest weight, within the bound left
+    after the forced arcs, of a tree rooted at v covering subset S of the
+    remaining terminals.  A singleton row is a Dijkstra from its terminal,
+    or from its twins' parents.  A larger subset first splits in two at the
+    nodes where a tree can branch (out-degree two or more, or a terminal of
+    S) and that reach all of S; a Dijkstra from those split costs then
+    carries the subtree back along single arcs.  Raises ResourceLimitError
+    when the work passes max_states (module docstring).  A terminal beyond
+    the bound from the root is a NO before any larger subset is tabled.
+    Reconstruction follows the recorded next hops and splits, so
+    equal-weight ties resolve deterministically by node declaration order,
+    hangs every twin from the parent its class's hop chain ends at, and adds
+    the forced arcs back.  stats_out, when given, gets forced, terminals
+    (counted before the merge) and merged at every return after the
+    presolve, and table_entries once the table is built.
     """
     n = len(inst.nodes)
     index = inst.index
@@ -216,31 +222,20 @@ def solve_dst(
     presolved = _presolve(inst, into, out)
     if presolved is None:
         return None
-    t_idx, forced = presolved
+    t_idx, forced, twins = presolved
+    dropped = sum(len(group) - 1 for group in twins.values())
     forced_weight = sum(w for _, _, w in forced)
     bound = inst.bound - forced_weight
     if stats_out is not None:
-        stats_out["forced"] = len(forced)
-        stats_out["terminals"] = len(t_idx)
+        stats_out.update(forced=len(forced), terminals=len(t_idx) + dropped, merged=dropped)
     if bound < 0:
         return None
     forced_arcs = [(inst.nodes[u], inst.nodes[t]) for u, t, _ in forced]
     if not t_idx:
         return _tree(inst, forced_arcs)
-    if len(t_idx) * min(inst.weights.values()) > bound:
-        # Each remaining terminal needs a distinct (and has a live) in-arc.
+    if (len(t_idx) + dropped) * min(inst.weights.values()) > bound:
+        # Each remaining terminal and twin needs a distinct (and has a live) in-arc.
         return None
-    twins: dict[int, list[int]] = {}
-    sinks = [t for t in t_idx if not out[t]]
-    if len(sinks) >= 2:
-        classes: dict[tuple, list[int]] = {}
-        for t in sinks:
-            classes.setdefault(tuple(sorted(into[t])), []).append(t)
-        twins = {group[0]: group for group in classes.values() if len(group) >= 2}
-        dropped = {t for group in twins.values() for t in group[1:]}
-        t_idx = [t for t in t_idx if t not in dropped]
-    if stats_out is not None:
-        stats_out["merged"] = sum(len(group) - 1 for group in twins.values())
 
     full = (1 << len(t_idx)) - 1
     work = full

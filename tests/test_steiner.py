@@ -275,7 +275,101 @@ def test_forced_arcs_alone_can_make_the_tree():
     solution = solve_dst(star, stats_out=stats)
     assert solution == brute_dst(star)
     assert solution.arcs == (("r", "a"), ("r", "b"))
-    assert stats == {"forced": 2, "terminals": 0}
+    assert stats == {"forced": 2, "terminals": 0, "merged": 0}
+
+
+def test_sinks_on_one_single_parent_are_forced_not_merged():
+    # t1 and t2 have the same one-arc in-list (a, 1): the degree test forces
+    # both arcs, and no twin class forms
+    inst = SteinerInstance(
+        ("r", "a", "b", "t1", "t2"),
+        {("r", "a"): 1, ("r", "b"): 0, ("b", "a"): 0, ("a", "t1"): 1, ("a", "t2"): 1},
+        "r",
+        ("t1", "t2"),
+        3,
+    )
+    stats = {}
+    solution = solve_dst(inst, stats_out=stats)
+    assert stats == {"forced": 2, "terminals": 1, "merged": 0, "table_entries": 5}
+    assert solution == brute_dst(inst)
+    assert set(solution.arcs) == {("r", "b"), ("b", "a"), ("a", "t1"), ("a", "t2")}
+
+
+def test_forcing_and_merging_in_one_pass():
+    # t1..t3 share the in-list {a, b} and merge into one row; t4's only
+    # in-arc comes from a, so it is forced and a becomes a terminal.  The
+    # twins are cheaper under b (2 + 3 * 0) than under a (3 * 1).
+    weights = {("r", "a"): 1, ("r", "b"): 2, ("a", "t4"): 1}
+    for t in ("t1", "t2", "t3"):
+        weights[("a", t)] = 1
+        weights[("b", t)] = 0
+    nodes = ("r", "a", "b", "t1", "t2", "t3", "t4")
+    terms = ("t1", "t2", "t3", "t4")
+    for bound, weight in ((3, None), (4, 4), (5, 4)):
+        inst = SteinerInstance(nodes, weights, "r", terms, bound)
+        stats = {}
+        solution = solve_dst(inst, stats_out=stats)
+        assert stats["forced"] == 1 and stats["merged"] == 2 and stats["terminals"] == 4
+        assert solution == brute_dst(inst)
+        assert (solution and solution.total_weight) == weight
+    assert set(solution.arcs) == {
+        ("r", "a"), ("a", "t4"), ("r", "b"), ("b", "t1"), ("b", "t2"), ("b", "t3")
+    }
+
+
+def _twins_and_x(bound):
+    # t1 and t2 are twins under r and a; x has an out-arc, so it stays
+    weights = {("r", "a"): 1, ("r", "x"): 1, ("x", "a"): 1}
+    for t in ("t1", "t2"):
+        weights[("r", t)] = weights[("a", t)] = 1
+    return SteinerInstance(("r", "a", "x", "t1", "t2"), weights, "r", ("x", "t1", "t2"), bound)
+
+
+def test_twins_count_one_arc_each_in_the_early_exit():
+    # at bound 2 three terminals need three weight-1 arcs: the exit answers
+    # NO before any row is built, though the merged table has two terminals
+    stats = {}
+    assert solve_dst(_twins_and_x(2), stats_out=stats) is None
+    assert brute_dst(_twins_and_x(2)) is None
+    assert stats == {"forced": 0, "terminals": 3, "merged": 1}
+    stats = {}
+    assert solve_dst(_twins_and_x(3), stats_out=stats) == brute_dst(_twins_and_x(3))
+    assert stats == {"forced": 0, "terminals": 3, "merged": 1, "table_entries": 3 * 5}
+
+
+def _star(bound):
+    # a and b hang off the root by their only in-arcs: forced weight 3
+    return SteinerInstance(("r", "a", "b"), {("r", "a"): 1, ("r", "b"): 2}, "r", ("a", "b"), bound)
+
+
+def _pair(bound):
+    # x and y have out-arcs, so both stay; each is 1 from r, both cost 2
+    weights = {("r", "x"): 1, ("r", "y"): 1, ("x", "y"): 1, ("y", "x"): 1, ("r", "z"): 0}
+    return SteinerInstance(("r", "x", "y", "z"), weights, "r", ("x", "y"), bound)
+
+
+def _far(bound):
+    # t1 is forced onto b, which lies 2 from the root
+    weights = {("s", "a"): 1, ("a", "b"): 1, ("b", "t1"): 1}
+    return SteinerInstance(("s", "a", "b", "t1"), weights, "s", ("t1",), bound)
+
+
+@pytest.mark.parametrize(
+    "inst, table",
+    [
+        pytest.param(_star(2), False, id="forced-weight-over-bound"),
+        pytest.param(_star(3), False, id="forced-arcs-alone"),
+        pytest.param(_twins_and_x(2), False, id="terminals-times-min-weight"),
+        pytest.param(_far(2), False, id="terminal-beyond-bound"),
+        pytest.param(_pair(1), True, id="best-over-bound"),
+        pytest.param(_pair(2), True, id="yes"),
+    ],
+)
+def test_every_return_after_the_presolve_reports_the_same_stats(inst, table):
+    stats = {}
+    assert solve_dst(inst, stats_out=stats) == brute_dst(inst)
+    keys = {"forced", "terminals", "merged"} | ({"table_entries"} if table else set())
+    assert stats.keys() == keys
 
 
 def test_extract_layers_by_depth():
