@@ -44,7 +44,7 @@ from .gadgets import (
 )
 from .planner02 import METHODS, pick_method, reduce_to_steiner, solve
 from .preprocess import lemma1_transform
-from .restrictions import detect_profile, lookup_pe, lookup_pubs
+from .restrictions import broken_variables, detect_profile, lookup_pe, lookup_pubs
 from .steiner import solve_dst
 
 EXIT_YES = 0
@@ -247,8 +247,8 @@ def cmd_bench(args) -> int:
             decision = "YES" if result.decision else "NO"
             explored = result.explored_states or ""
             dp_entries = result.dp_table_entries or ""
-            if result.artifacts is not None:
-                terminals = len(result.artifacts.steiner.terminals)
+            if method == "fpt02":
+                terminals = len(broken_variables(query.instance))
         except ResourceLimitError:
             decision = "GAVE_UP"
         except ValueError as exc:

@@ -19,6 +19,15 @@ off the tree by emitting its arc layers deepest first, with the root layer
 (the good actions) last, so every value broken along the way is repaired
 afterwards; weight-0 arcs emit nothing.
 
+solve_02 answers three kinds of task before building the reduction, since
+no tree is needed to decide them.  With no terminal, the empty plan is a
+witness: YES.  A terminal whose goal value no action writes has no in-arc,
+so no tree reaches it: NO.  One step settles at most two terminals, both
+through a pair node, so more than 2k terminals are a NO; once the
+reduction is built and has no pair node, more than k are.  The reduction's
+checks of reserved names and of the fragment still come first on these
+tasks, so they get the ValueError the reduction would raise.
+
 solve() is the entry point for any task: pick_method, the one statement of
 the (0, <=2) rule, routes that fragment here and everything else to the
 search oracle; the reduction asks it too.  max_states is the one work budget
@@ -60,7 +69,6 @@ class Planner02Result:
     """
 
     witness: tuple[str, ...] | None = None
-    artifacts: ReductionArtifacts | None = None
     explored_states: int | None = None
     dp_table_entries: int | None = None
     method: str = "fpt02"
@@ -84,16 +92,9 @@ def pick_method(instance: PlanningInstance) -> str:
     return "oracle"
 
 
-def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
-    """Build the Steiner instance of a (0, <=2) task at the same bound.
-
-    Bad actions contribute no arcs (they never occur in minimal plans) and
-    neither do effect-free actions.  Good actions writing the same pair of
-    variables share one pair node, numbered by first declaration and placed
-    after the variables.  arc_origin remembers every action behind each arc,
-    first declared first.
-    """
-    inst = query.instance
+def _check_reducible(inst: PlanningInstance) -> None:
+    """Raise ValueError for a task the reduction refuses: one that names a
+    variable like the root or a pair node, or one outside (0, <=2)."""
     for v in inst.variables:
         if v.name == ROOT or v.name.startswith(PAIR):
             raise ValueError(
@@ -103,6 +104,37 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
         raise ValueError(
             "reduction requires actions without preconditions and with at most two effects"
         )
+
+
+def _needs_no_tree(inst: PlanningInstance, terminals: tuple[str, ...], k: int) -> bool:
+    """True when the task is one of the three the module docstring answers
+    without a tree: no terminal, more than 2k, or one whose goal value no
+    action writes."""
+    if not terminals or len(terminals) > 2 * k:
+        return True
+    goal = inst.goal
+    unwritten = {(v, goal[v]) for v in terminals}
+    for action in inst.actions:
+        unwritten.difference_update(action.eff.items())
+        if not unwritten:
+            return False
+    return True
+
+
+def reduce_to_steiner(
+    query: BoundedQuery, *, terminals: tuple[str, ...] | None = None
+) -> ReductionArtifacts:
+    """Build the Steiner instance of a (0, <=2) task at the same bound.
+
+    Bad actions contribute no arcs (they never occur in minimal plans) and
+    neither do effect-free actions.  Good actions writing the same pair of
+    variables share one pair node, numbered by first declaration and placed
+    after the variables.  arc_origin remembers every action behind each arc,
+    first declared first.  The terminals are broken_variables of the task;
+    a caller that has them already passes them in.
+    """
+    inst = query.instance
+    _check_reducible(inst)
 
     weights: dict[tuple[str, str], int] = {}
     origin: dict[tuple[str, str], list[str]] = {}
@@ -130,7 +162,7 @@ def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
         nodes=nodes,
         weights=weights,
         root=ROOT,
-        terminals=broken_variables(inst),
+        terminals=broken_variables(inst) if terminals is None else terminals,
         bound=query.k,
     )
     return ReductionArtifacts(
@@ -163,33 +195,41 @@ def extract_plan(
 def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Planner02Result:
     """Decide bounded plan existence for a (0, <=2) task.
 
-    Reduces the task to a Steiner instance at the same bound and solves it
-    exactly.  One step settles at most one terminal, or two through a pair
-    node, so a larger terminal set is an outright NO.  solve_dst raises
-    ResourceLimitError when the table rows and candidate splits it needs
-    pass max_states.  On YES the witness is a shortest plan, re-validated
-    against the query before returning.
+    The terminals are computed once, here, and handed to the reduction.  A
+    task the module docstring answers without a tree gets its answer here,
+    after the reduction's ValueError checks; every other task is reduced to
+    a Steiner instance at the same bound and solved exactly.  solve_dst
+    raises ResourceLimitError when the table rows and candidate splits it
+    needs pass max_states.  On YES the witness is a shortest plan,
+    re-validated against the query before returning.
     """
-    artifacts = reduce_to_steiner(query)
-    steiner = artifacts.steiner
-    per_step = 2 if 0 in steiner.weights.values() else 1
-    if len(steiner.terminals) > per_step * query.k:
-        return Planner02Result(artifacts=artifacts)
-
-    stats: dict = {}
-    solution = solve_dst(steiner, stats_out=stats, max_states=max_states)
-    entries = stats.get("table_entries")
-    if solution is None:
-        return Planner02Result(artifacts=artifacts, dp_table_entries=entries)
-    witness = extract_plan(artifacts, solution)
-    report = validate_plan(query.instance, witness)
+    inst = query.instance
+    terminals = broken_variables(inst)
+    entries = None
+    if _needs_no_tree(inst, terminals, query.k):
+        _check_reducible(inst)
+        if terminals:
+            return Planner02Result()
+        witness: tuple[str, ...] = ()
+    else:
+        artifacts = reduce_to_steiner(query, terminals=terminals)
+        steiner = artifacts.steiner
+        if len(terminals) > query.k and 0 not in steiner.weights.values():
+            return Planner02Result()
+        stats: dict = {}
+        solution = solve_dst(steiner, stats_out=stats, max_states=max_states)
+        entries = stats.get("table_entries")
+        if solution is None:
+            return Planner02Result(dp_table_entries=entries)
+        witness = extract_plan(artifacts, solution)
+    report = validate_plan(inst, witness)
     if not report.valid:
         raise RuntimeError(f"extracted plan failed validation: {report.reason}")
     if len(witness) > query.k:
         raise RuntimeError(
             f"extracted plan has {len(witness)} steps, over the bound {query.k}"
         )
-    return Planner02Result(witness, artifacts=artifacts, dp_table_entries=entries)
+    return Planner02Result(witness, dp_table_entries=entries)
 
 
 def solve(

@@ -430,6 +430,20 @@ class TestBench:
         assert rows[2]["terminals"] == "5"
         assert all(float(r["seconds"]) >= 0 for r in rows)
 
+    def test_terminals_column(self, capsys, tmp_path):
+        # an fpt02 row counts the broken variables, 0 when init meets the
+        # goal; an oracle row leaves the column empty
+        (tmp_path / "met.sasbp").write_text(TRADE.replace("init a=0 b=0", "init a=1 b=1"))
+        (tmp_path / "gated.sasbp").write_text(GATED)
+        report = tmp_path / "report.csv"
+        assert run(capsys, "bench", str(tmp_path), "--out", str(report))[0] == 0
+        with open(report, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["instance"], r["method"], r["decision"], r["terminals"]) for r in rows] == [
+            ("gated.sasbp", "oracle", "YES", ""),
+            ("met.sasbp", "fpt02", "YES", "0"),
+        ]
+
     def test_missing_directory_is_a_usage_error(self, capsys, tmp_path):
         report = tmp_path / "report.csv"
         code, out, err = run(capsys, "bench", str(tmp_path / "nope"), "--out", str(report))

@@ -22,7 +22,7 @@ from sasbp.gadgets import (
 from sasbp.fileformat import write_instance
 from sasbp.core import validate_plan
 from sasbp.oracle import decide_bfs
-from sasbp.planner02 import solve_02
+from sasbp.planner02 import reduce_to_steiner, solve_02
 from sasbp.restrictions import detect_profile, split_effects
 from helpers import make_query
 
@@ -375,7 +375,7 @@ class TestComposeOr02:
         out = compose_or_02([q02_no(2), q02_no(2)])
         assert out.ground_truth == NO
         result = solve_02(out.query)
-        terminals = result.artifacts.steiner.terminals
+        terminals = reduce_to_steiner(out.query).steiner.terminals
         assert 2 <= len(terminals) <= out.query.k
         assert not result.decision and not result.fallback
         assert result.dp_table_entries is None

@@ -95,6 +95,31 @@ def test_reduction_rejections():
             reduce_to_steiner(q)
 
 
+def test_reserved_name_is_refused_before_the_unwritten_goal_no():
+    # no action writes __root's goal value, an answer solve_02 gives
+    # before the reduction; the reduction's own refusal still comes first
+    q = make_query(
+        {ROOT: 2, "a": 2}, [("set_a", {}, {"a": "1"})], {ROOT: "0", "a": "0"}, {ROOT: "1"}, 1
+    )
+    with pytest.raises(ValueError, match="'__root' is reserved for the root and pair nodes"):
+        solve_02(q)
+
+
+def test_guarded_task_is_refused_before_the_empty_plan():
+    # init already meets the goal, so the empty plan would answer YES, but
+    # set_x has a precondition: fpt02 refuses the task instead
+    q = make_query(
+        {"g": 2, "x": 2},
+        [("open", {}, {"g": "1"}), ("set_x", {"g": "1"}, {"x": "1"})],
+        {"g": "0", "x": "1"},
+        {"x": "1"},
+        1,
+    )
+    with pytest.raises(ValueError, match="requires actions without preconditions"):
+        solve(q, method="fpt02")
+    assert solve(q).witness == () and solve(q).method == "oracle"
+
+
 def test_extract_orders_repairs_after_damage():
     query = repair_query(3)
     artifacts = reduce_to_steiner(query)
@@ -114,7 +139,8 @@ def test_extract_rejects_unknown_arcs():
 
 def test_each_yes_solve_prunes_its_tree_once(monkeypatch):
     # solve_dst's tree carries its depths, so extract_plan layers it without
-    # pruning again and without the Steiner instance
+    # pruning again and without the Steiner instance; a YES with nothing
+    # broken is answered () before any tree is built
     trees = []
     original = steiner._tree
 
@@ -131,12 +157,12 @@ def test_each_yes_solve_prunes_its_tree_once(monkeypatch):
         trees.clear()
         result = solve(query)
         assert result.method == "fpt02"
-        assert len(trees) == result.decision
-        if result.decision:
-            detached = replace(result.artifacts, steiner=None)
+        assert len(trees) == bool(result.witness)
+        if result.witness:
+            detached = replace(reduce_to_steiner(query), steiner=None)
             assert extract_plan(detached, trees[0]) == result.witness
-            yes += 1
             paired += any(arc[0].startswith(PAIR) for arc in trees[0].arcs)
+        yes += result.decision
     assert 10 < yes < len(queries) - 10 and paired > 5, (yes, paired)
 
 
@@ -162,10 +188,9 @@ def test_more_broken_variables_than_bound_is_an_instant_no():
     result = solve_02(repair_query(1))
     assert not result.decision
     assert not result.fallback
-    # decided by counting terminals, before any table is built
+    # decided by counting terminals, before the reduction is built
     assert result.dp_table_entries is None
-    assert result.artifacts is not None
-    assert len(result.artifacts.steiner.terminals) == 2
+    assert len(reduce_to_steiner(repair_query(1)).steiner.terminals) == 2
 
 
 def test_too_many_terminals_after_presolve_is_a_resource_limit():
@@ -196,8 +221,8 @@ def chained_query(k):
     )
 
 
-def has_pair_node(result) -> bool:
-    return any(node.startswith(PAIR) for node in result.artifacts.steiner.nodes)
+def has_pair_node(query) -> bool:
+    return any(node.startswith(PAIR) for node in reduce_to_steiner(query).steiner.nodes)
 
 
 def test_two_effect_good_actions_get_a_pair_node():
@@ -271,9 +296,9 @@ def test_bad_two_effect_actions_are_stripped_not_chained():
         1,
     )
     result = solve_02(q)
-    assert result.decision and not has_pair_node(result)
+    assert result.decision and not has_pair_node(q)
     assert result.witness == ("fix_a",)
-    assert result.artifacts.arc_origin == {(ROOT, "a"): ("fix_a",)}
+    assert reduce_to_steiner(q).arc_origin == {(ROOT, "a"): ("fix_a",)}
 
 
 @pytest.mark.parametrize("bad_plan,message", [
@@ -296,7 +321,7 @@ def test_pair_path_chain_path_and_oracle_agree():
         chained = lemma1_transform(query)
         via_chain = solve_02(BoundedQuery(chained.instance, chained.k_prime))
         assert result.decision == via_chain.decision == oracle.decision, query
-        paired += has_pair_node(result)
+        paired += has_pair_node(query)
         if result.decision:
             yes += 1
             assert result.plan_length == oracle.shortest_length
@@ -313,7 +338,7 @@ def test_agrees_with_search_oracle_on_random_queries():
         result = solve_02(query)
         assert result.decision == oracle.decision, query
         assert not result.fallback
-        paired += has_pair_node(result)
+        paired += has_pair_node(query)
         if result.decision:
             yes += 1
             assert result.plan_length == oracle.shortest_length
@@ -358,7 +383,7 @@ def assert_is_oracle_result(result, query):
     assert result.plan_length == oracle.shortest_length
     assert result.explored_states == oracle.explored_states
     assert result.method == "oracle" and not result.fallback
-    assert result.artifacts is None and result.dp_table_entries is None
+    assert result.dp_table_entries is None
 
 
 def test_solve_matches_solve_02_and_decide_bfs():

@@ -10,11 +10,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sasbp.core import Action, PartialState, validate_plan  # noqa: E402
+from sasbp.core import Action, BoundedQuery, PartialState, validate_plan  # noqa: E402
 from sasbp.fileformat import FormatError, parse_instance, write_instance  # noqa: E402
 from sasbp import steiner  # noqa: E402
 from sasbp.oracle import _goal_writes, _moves_after, _packed, decide_bfs  # noqa: E402
-from sasbp.planner02 import reduce_to_steiner, solve  # noqa: E402
+from sasbp.planner02 import reduce_to_steiner, solve, solve_02  # noqa: E402
 from sasbp.steiner import (  # noqa: E402
     SteinerInstance,
     brute_dst,
@@ -482,6 +482,61 @@ def test_solve_agrees_with_the_oracle_on_02_tasks():
     # YES, NO, a domain of three or more values, a goal-free write, a mixed
     # action and a two-effect good action (a pair node) each turn up in more
     # than a tenth of the examples
+    assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
+
+
+@st.composite
+def task_02_or_covered(draw):
+    """A task_02 task, half the time with more actions that write its
+    broken goal entries two at a time and a bound redrawn between half
+    their count and their count, so that tasks left to the reduction are
+    drawn about as often as each answer solve_02 gives before it, and some
+    YES plans settle two broken variables in one step."""
+    query = draw(task_02())
+    if draw(st.booleans()):
+        return query
+    inst = query.instance
+    entries = [(v, x) for v, x in inst.goal.items() if inst.init[v] != x]
+    writers = tuple(
+        Action(f"w{i}", PartialState(), PartialState(entries[i:i + 2]))
+        for i in range(0, len(entries), 2)
+    )
+    k = draw(st.integers(len(entries) // 2, len(entries)))
+    return BoundedQuery(replace(inst, actions=inst.actions + writers), k)
+
+
+def test_answers_given_before_the_reduction_agree_with_the_oracle():
+    seen = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(task_02_or_covered())
+    def check(query):
+        inst = query.instance
+        fast = solve_02(query)
+        slow = decide_bfs(query)
+        assert fast.decision == slow.decision
+        assert fast.plan_length == slow.shortest_length
+        broken = [v for v, x in inst.goal.items() if inst.init[v] != x]
+        written = {entry for a in inst.actions for entry in a.eff.items()}
+        nothing = not broken
+        too_many = len(broken) > 2 * query.k
+        unwritten = any((v, inst.goal[v]) not in written for v in broken)
+        if nothing:
+            assert fast.witness == ()
+        if nothing or too_many or unwritten:
+            assert fast.dp_table_entries is None
+        seen.append((
+            nothing,
+            unwritten,
+            too_many,
+            not (nothing or unwritten or too_many),
+            fast.decision and len(broken) > query.k,
+        ))
+
+    check()
+    # nothing broken, an unwritten goal value, more than 2k broken, a task
+    # left to the reduction, and a YES with more than k broken each turn up
+    # in more than a tenth of the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 

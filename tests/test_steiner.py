@@ -212,18 +212,26 @@ def test_thirty_terminals_are_refused_before_any_row(monkeypatch):
     assert rows == []
 
 
-def test_early_exit_when_terminals_exceed_budget():
-    # three terminals, all arcs weight 2, bound 5 < 3 * 2
+def test_early_exit_when_terminals_exceed_budget(monkeypatch):
+    # three terminals, all arcs weight 2, bound 5 < 3 * 2; a ring of out-arcs
+    # keeps every terminal off the presolve's sink rule, so all three reach
+    # the count exit
+    ring = {("t1", "t2"): 2, ("t2", "t3"): 2, ("t3", "t1"): 2}
     inst = SteinerInstance(
         nodes=("s", "t1", "t2", "t3"),
-        weights={("s", "t1"): 2, ("s", "t2"): 2, ("s", "t3"): 2},
+        weights={("s", "t1"): 2, ("s", "t2"): 2, ("s", "t3"): 2, **ring},
         root="s",
         terminals=("t1", "t2", "t3"),
         bound=5,
     )
+    assert brute_dst(inst) is None
+    rows = []
+    monkeypatch.setattr(steiner, "_descend", lambda *args: rows.append(args))
     stats = {}
     assert solve_dst(inst, stats_out=stats) is None
-    assert stats.get("table_entries") is None  # bailed out before the table
+    # nothing forced or merged, and no row built: the len * min_w exit
+    assert stats == {"forced": 0, "terminals": 3, "merged": 0}
+    assert rows == []
 
 
 def test_stats_reported():
