@@ -247,14 +247,14 @@ def cmd_bench(args) -> int:
             decision = "YES" if result.decision else "NO"
             explored = result.explored_states or ""
             dp_entries = result.dp_table_entries or ""
-            if method == "fpt02":
-                terminals = len(broken_variables(query.instance))
         except ResourceLimitError:
             decision = "GAVE_UP"
         except ValueError as exc:
             # a file that does not parse, or that the solver rejects
             raise ValueError(f"{path}: {exc}") from None
         seconds = f"{time.perf_counter() - start:.4f}"
+        if method == "fpt02" and decision != "GAVE_UP":
+            terminals = len(broken_variables(query.instance))
         rows.append(
             (path.name, method, query.k, decision, seconds, explored, dp_entries, terminals)
         )

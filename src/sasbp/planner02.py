@@ -121,17 +121,14 @@ def _needs_no_tree(inst: PlanningInstance, terminals: tuple[str, ...], k: int) -
     return True
 
 
-def reduce_to_steiner(
-    query: BoundedQuery, *, terminals: tuple[str, ...] | None = None
-) -> ReductionArtifacts:
+def reduce_to_steiner(query: BoundedQuery) -> ReductionArtifacts:
     """Build the Steiner instance of a (0, <=2) task at the same bound.
 
     Bad actions contribute no arcs (they never occur in minimal plans) and
     neither do effect-free actions.  Good actions writing the same pair of
     variables share one pair node, numbered by first declaration and placed
     after the variables.  arc_origin remembers every action behind each arc,
-    first declared first.  The terminals are broken_variables of the task;
-    a caller that has them already passes them in.
+    first declared first.
     """
     inst = query.instance
     _check_reducible(inst)
@@ -162,7 +159,7 @@ def reduce_to_steiner(
         nodes=nodes,
         weights=weights,
         root=ROOT,
-        terminals=broken_variables(inst) if terminals is None else terminals,
+        terminals=broken_variables(inst),
         bound=query.k,
     )
     return ReductionArtifacts(
@@ -195,9 +192,8 @@ def extract_plan(
 def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Planner02Result:
     """Decide bounded plan existence for a (0, <=2) task.
 
-    The terminals are computed once, here, and handed to the reduction.  A
-    task the module docstring answers without a tree gets its answer here,
-    after the reduction's ValueError checks; every other task is reduced to
+    A task the module docstring answers without a tree gets its answer
+    here, after the reduction's ValueError checks; every other task is reduced to
     a Steiner instance at the same bound and solved exactly.  solve_dst
     raises ResourceLimitError when the table rows and candidate splits it
     needs pass max_states.  On YES the witness is a shortest plan,
@@ -212,7 +208,7 @@ def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Plann
             return Planner02Result()
         witness: tuple[str, ...] = ()
     else:
-        artifacts = reduce_to_steiner(query, terminals=terminals)
+        artifacts = reduce_to_steiner(query)
         steiner = artifacts.steiner
         if len(terminals) > query.k and 0 not in steiner.weights.values():
             return Planner02Result()

@@ -188,9 +188,20 @@ def test_more_broken_variables_than_bound_is_an_instant_no():
     result = solve_02(repair_query(1))
     assert not result.decision
     assert not result.fallback
-    # decided by counting terminals, before the reduction is built
+    # 2 terminals fit 2k, so the reduction is built; with no pair node and
+    # more than k terminals it answers before any table is built
     assert result.dp_table_entries is None
     assert len(reduce_to_steiner(repair_query(1)).steiner.terminals) == 2
+
+
+def test_more_broken_variables_than_twice_the_bound_skip_the_reduction(monkeypatch):
+    def refuse(query):
+        raise AssertionError("reduction built for a task decided by its count")
+
+    monkeypatch.setattr(planner02, "reduce_to_steiner", refuse)
+    result = solve_02(repair_query(0))
+    assert not result.decision
+    assert result.dp_table_entries is None
 
 
 def test_too_many_terminals_after_presolve_is_a_resource_limit():
