@@ -23,10 +23,11 @@ solve_02 answers three kinds of task before building the reduction, since
 no tree is needed to decide them.  With no terminal, the empty plan is a
 witness: YES.  A terminal whose goal value no action writes has no in-arc,
 so no tree reaches it: NO.  One step settles at most two terminals, both
-through a pair node, so more than 2k terminals are a NO; once the
-reduction is built and has no pair node, more than k are.  The reduction's
-checks of reserved names and of the fragment still come first on these
-tasks, so they get the ValueError the reduction would raise.
+through a pair node, so more than 2k terminals are a NO.  With no pair
+node, more than k are a NO that solve_dst finds before it builds a table,
+from its forced arcs and its count of terminals against the bound.  The
+reduction's checks of reserved names and of the fragment still come first
+on these tasks, so they get the ValueError the reduction would raise.
 
 solve() is the entry point for any task: pick_method, the one statement of
 the (0, <=2) rule, routes that fragment here and everything else to the
@@ -209,11 +210,8 @@ def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Plann
         witness: tuple[str, ...] = ()
     else:
         artifacts = reduce_to_steiner(query)
-        steiner = artifacts.steiner
-        if len(terminals) > query.k and 0 not in steiner.weights.values():
-            return Planner02Result()
         stats: dict = {}
-        solution = solve_dst(steiner, stats_out=stats, max_states=max_states)
+        solution = solve_dst(artifacts.steiner, stats_out=stats, max_states=max_states)
         entries = stats.get("table_entries")
         if solution is None:
             return Planner02Result(dp_table_entries=entries)

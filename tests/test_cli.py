@@ -386,6 +386,21 @@ class TestGenerate:
         payload = json.loads(out)
         assert payload["decision"] == "yes" and payload["method"] == "fpt02"
 
+    def test_explicit_pattern_places_the_yes_inputs(self, capsys, tmp_path):
+        base = tmp_path / "two"
+        argv = ("--t", "2", "--k", "1", "--pattern", "ny", "--out", str(base))
+        code, out, _ = run(capsys, "generate", "compose-02", *argv)
+        assert code == 0 and "answer: yes" in out
+        code, out, _ = run(capsys, "solve", str(tmp_path / "two.sasbp"), "--allow-reserved")
+        assert code == 0
+        assert out.splitlines()[:2] == ["YES", "plan length: 20"]
+
+        base = tmp_path / "pub"
+        argv = ("--t", "3", "--k", "2", "--pattern", "nny", "--out", str(base))
+        code, out, _ = run(capsys, "generate", "compose-pub", *argv)
+        assert code == 0 and "answer: yes" in out
+        assert "note chosen_input 3\n" in (tmp_path / "pub.truth").read_text()
+
     @pytest.mark.parametrize(
         "argv,needle",
         [
@@ -630,6 +645,16 @@ class TestErrorsAndEntry:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --max-states: state budget must be at least 1, got {budget}" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_state_budget_not_an_int_is_a_usage_error(self, capsys, tmp_path, trade_file, command):
+        report = tmp_path / "report.csv"
+        argv = [trade_file] if command == "solve" else [str(tmp_path), "--out", str(report)]
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv, "--max-states", "abc"])
+        assert info.value.code == 2
+        assert "argument --max-states: invalid int value: 'abc'" in capsys.readouterr().err
         assert not report.exists()
 
     @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -31,6 +31,7 @@ def test_partial_state_is_a_mapping():
     assert len(s) == 2
     assert set(s) == {"a", "b"}
     assert tuple(s) == ("a", "b")
+    assert repr(s) == "PartialState(a=1, b=0)"
 
 
 def test_partial_state_equality_and_hash():
@@ -155,6 +156,8 @@ def test_instance_validation():
         PlanningInstance((v,), (), PartialState({"a": "7"}), EMPTY_STATE)
     with pytest.raises(ValueError, match="unknown variable"):
         PlanningInstance((v,), (), PartialState({"a": "0"}), PartialState({"b": "0"}))
+    with pytest.raises(ValueError, match="action name must be non-empty"):
+        Action("", EMPTY_STATE, EMPTY_STATE)
     bad_action = Action("x", EMPTY_STATE, PartialState({"b": "1"}))
     with pytest.raises(ValueError, match="eff of 'x'"):
         PlanningInstance((v,), (bad_action,), PartialState({"a": "0"}), EMPTY_STATE)
@@ -246,6 +249,8 @@ def test_apply_and_validity():
         apply_action(inst, flip, blocked)
     with pytest.raises(ValueError, match="not total"):
         is_valid_in(inst, flip, EMPTY_STATE)
+    with pytest.raises(ValueError, match="not total"):
+        is_goal_state(inst, PartialState({"a": "1"}))
 
 
 def test_validate_plan_success_report():

@@ -188,10 +188,16 @@ def test_more_broken_variables_than_bound_is_an_instant_no():
     result = solve_02(repair_query(1))
     assert not result.decision
     assert not result.fallback
-    # 2 terminals fit 2k, so the reduction is built; with no pair node and
-    # more than k terminals it answers before any table is built
+    # 2 terminals fit 2k, so the reduction is built; both are sinks with one
+    # in-arc, and the 2 forced arcs weigh more than the bound of 1, so
+    # solve_dst answers before any table is built
     assert result.dp_table_entries is None
-    assert len(reduce_to_steiner(repair_query(1)).steiner.terminals) == 2
+    steiner_inst = reduce_to_steiner(repair_query(1)).steiner
+    assert len(steiner_inst.terminals) == 2
+    stats: dict = {}
+    assert steiner.solve_dst(steiner_inst, stats_out=stats) is None
+    assert stats["forced"] == 2
+    assert "table_entries" not in stats
 
 
 def test_more_broken_variables_than_twice_the_bound_skip_the_reduction(monkeypatch):

@@ -156,6 +156,8 @@ def test_pe_table_rejects_zero_effects():
         lookup_pe(0, 0)
     with pytest.raises(ValueError):
         lookup_pe(-1, 1)
+    with pytest.raises(ValueError, match="e must be non-negative"):
+        lookup_pe(1, -1)
 
 
 def test_pubs_table_golden_entries():

@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import sasbp
 
 SRC = Path(sasbp.__file__).resolve().parent
@@ -120,3 +122,15 @@ def test_package_imports_only_the_standard_library():
             ]
     assert seen > 20
     assert found == []
+
+
+def test_package_and_demos_parse_as_python_3_10():
+    # pyproject.toml promises Python 3.10; parsing with that grammar catches
+    # newer syntax, such as except*, without a 3.10 interpreter.
+    demos = SRC.parent.parent / "demos"
+    files = sorted(SRC.glob("*.py")) + sorted(demos.glob("*.py"))
+    assert len(files) > 15
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
