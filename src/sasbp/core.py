@@ -35,6 +35,14 @@ class PartialState(dict):
                 if not isinstance(name, str) or not isinstance(value, str):
                     raise TypeError("variable names and values must be strings")
 
+    @classmethod
+    def _trusted(cls, assignment: dict[str, str]) -> PartialState:
+        """A state built without the string check, for the parser's strings."""
+        state = dict.__new__(cls)
+        dict.update(state, assignment)
+        state._hash = None
+        return state
+
     def _read_only(self, *args, **kwargs):
         raise TypeError("PartialState is read-only")
 
@@ -127,14 +135,14 @@ class PlanningInstance:
         action_names = [a.name for a in self.actions]
         if len(set(action_names)) != len(action_names):
             raise ValueError("duplicate action names")
-        # Each state is checked with one set containment; only a failing
-        # one is walked entry by entry to name its first culprit.
+        # One set containment checks each state; a failing one is walked to
+        # name its first culprit.  A contained init is total by entry count.
         pairs = {(v.name, value) for v in self.variables for value in v.domain}
         if not self.init.items() <= pairs:
             self._name_culprit("init", self.init)
-        missing = [n for n in names if n not in self.init]
-        if missing:
-            raise ValueError(f"init is not total: missing {missing[0]!r}")
+        if len(self.init) != len(names):
+            missing = next(n for n in names if n not in self.init)
+            raise ValueError(f"init is not total: missing {missing!r}")
         if not self.goal.items() <= pairs:
             self._name_culprit("goal", self.goal)
         for action in self.actions:

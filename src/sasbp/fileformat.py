@@ -24,6 +24,10 @@ Names starting with a double underscore are reserved for generated
 machinery (chain variables, the Steiner root and pair nodes) and rejected
 on parse unless allow_reserved is set.
 
+Syntax is checked in the parsers, with line numbers; semantics in the
+model's constructors, without.  Parsed states skip PartialState's string
+check, since every token the parser makes is a string already.
+
 Plan files hold one action name per line.  Steiner files hold node, root,
 terminal, bound and arc lines; see parse_steiner.
 """
@@ -73,7 +77,7 @@ def _parse_state(parts: list[str], lineno: int) -> PartialState:
         if name in out:
             raise FormatError(f"line {lineno}: {name!r} assigned twice")
         out[name] = value
-    return PartialState(out)
+    return PartialState._trusted(out)
 
 
 def _check_name(kind: str, name: str, lineno: int) -> None:
@@ -88,10 +92,10 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
     """Parse an instance file into a bounded query.
 
     The section order is fixed: header, variables, init, goal, action
-    blocks, bound.  Structural problems raise FormatError with the line
-    number; semantic problems (unknown variables, off-domain values, a
-    non-total init) surface as FormatError without one, via the instance
-    constructor.
+    blocks of four rows (action, pre, eff, end), bound.  Structural problems
+    raise FormatError with the line number, here; semantic problems (unknown
+    variables, off-domain values, a non-total init) surface as FormatError
+    without one, from the model's constructors.
     """
     # The var and action checks test the line, not its first token, so a
     # bare 'var' or 'action', or one followed by a tab, ends its section like
@@ -134,18 +138,18 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
         name = parts[1]
         if not allow_reserved:
             _check_name("action", name, lineno)
-        block = []
-        for keyword in ("pre", "eff"):
-            lineno, line, parts = next(rows, end)
-            if parts[0] != keyword:
-                raise FormatError(
-                    f"line {lineno or '?'}: expected {keyword} line in action {name!r}"
-                )
-            block.append(_parse_state(parts, lineno))
+        lineno, line, parts = next(rows, end)
+        if parts[0] != "pre":
+            raise FormatError(f"line {lineno or '?'}: expected pre line in action {name!r}")
+        pre = _parse_state(parts, lineno)
+        lineno, line, parts = next(rows, end)
+        if parts[0] != "eff":
+            raise FormatError(f"line {lineno or '?'}: expected eff line in action {name!r}")
+        eff = _parse_state(parts, lineno)
         lineno, line, parts = next(rows, end)
         if line != "end":
             raise FormatError(f"line {lineno or '?'}: expected end after action {name!r}")
-        actions.append(Action(name, *block))
+        actions.append(Action(name, pre, eff))
         lineno, line, parts = next(rows, end)
 
     if parts[0] != "k":

@@ -74,15 +74,18 @@ def detect_profile(inst: PlanningInstance) -> RestrictionProfile:
     pres = [action.pre for action in inst.actions]
     effs = [action.eff for action in inst.actions]
     written = [entry for eff in effs for entry in eff.items()]
+    effect_lengths = set(map(len, effs))
     # distinct prevail (variable, value) entries; S fails when a variable has two
-    prevail = {entry for pre, eff in zip(pres, effs) for entry in pre.items() if entry[0] not in eff}
+    prevail = any(pres) and {
+        entry for pre, eff in zip(pres, effs) for entry in pre.items() if entry[0] not in eff
+    }
     return RestrictionProfile(
         has_P=len(set(written)) == len(written),
-        has_U=set(map(len, effs)) <= {1},
-        has_B=all(len(v.domain) == 2 for v in inst.variables),
-        has_S=len({name for name, _ in prevail}) == len(prevail),
+        has_U=effect_lengths <= {1},
+        has_B=all([len(v.domain) == 2 for v in inst.variables]),
+        has_S=not prevail or len({name for name, _ in prevail}) == len(prevail),
         max_preconditions=max(map(len, pres), default=0),
-        max_effects=max(map(len, effs), default=0),
+        max_effects=max(effect_lengths, default=0),
     )
 
 

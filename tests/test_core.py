@@ -189,6 +189,18 @@ CULPRITS = {
         {"init": {"a": "5", "b": "0", "q": "1"}},
         "init assigns 'a' the value '5', which is outside its domain",
     ),
+    "init missing": (
+        {"init": {"b": "1"}},
+        "init is not total: missing 'a'",
+    ),
+    "init unknown and missing": (
+        {"init": {"q": "1"}},
+        "init references unknown variable 'q'",
+    ),
+    "init unknown in place of a declared one": (
+        {"init": {"q": "1", "b": "0"}},
+        "init references unknown variable 'q'",
+    ),
     "goal unknown": (
         {"goal": {"q": "1", "b": "9"}},
         "goal references unknown variable 'q'",

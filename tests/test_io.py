@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -13,6 +15,7 @@ from sasbp.fileformat import (
     write_plan,
     write_steiner,
 )
+from sasbp.gadgets import gen_or_tree
 from sasbp.planner02 import reduce_to_steiner
 from sasbp.steiner import SteinerInstance
 from helpers import make_query, random_02_query
@@ -91,6 +94,28 @@ def test_round_trip_is_byte_stable():
         back = parse_instance(text)
         assert back == q
         assert write_instance(back) == text
+
+
+def test_parsed_states_are_full_partial_states():
+    # the parser builds its states without the string check; each one must
+    # still be read-only, hash as a checked state of the same entries does,
+    # and copy and pickle to an equal PartialState
+    texts = [
+        write_instance(random_02_query(random.Random(27), 6, 9, 4)),
+        write_instance(gen_or_tree((True, False, True)).query),
+    ]
+    for text in texts:
+        inst = parse_instance(text).instance
+        states = [inst.init, inst.goal]
+        states += [state for a in inst.actions for state in (a.pre, a.eff)]
+        assert sum(1 for state in states if len(state) > 1) > 5
+        for state in states:
+            with pytest.raises(TypeError):
+                state["x1"] = "0"
+            assert hash(state) == hash(PartialState(dict(state)))
+            for twin in (copy.copy(state), pickle.loads(pickle.dumps(state))):
+                assert type(twin) is PartialState
+                assert twin == state
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from sasbp.fileformat import FormatError, parse_instance, write_instance  # noqa
 from sasbp import steiner  # noqa: E402
 from sasbp.oracle import _goal_writes, _moves_after, _packed, decide_bfs  # noqa: E402
 from sasbp.planner02 import reduce_to_steiner, solve, solve_02  # noqa: E402
+from sasbp.restrictions import RestrictionProfile, detect_profile  # noqa: E402
 from sasbp.steiner import (  # noqa: E402
     SteinerInstance,
     brute_dst,
@@ -774,3 +775,65 @@ def test_plan_validation_agrees_with_reference_validator():
     # each outcome turns up in more than a tenth of the examples
     counts = {r: reasons.count(r) for r in ("valid", "unknown", "precondition", "final")}
     assert min(counts.values()) > len(reasons) // 10, counts
+
+
+@st.composite
+def profile_task(draw):
+    """A task over one to three variables of one to three values each, with
+    up to six actions of zero to three effects.  About half the tasks give
+    every action one or two preconditions, the rest none at all."""
+    sizes = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3))
+    size = {f"v{i}": n for i, n in enumerate(sizes)}
+    guarded = draw(st.booleans())
+
+    def partial(least: int, most: int) -> dict:
+        names = st.sampled_from(sorted(size))
+        picked = draw(st.lists(names, min_size=least, max_size=most, unique=True))
+        return {n: str(draw(st.sampled_from(range(size[n])))) for n in picked}
+
+    init = partial(len(size), len(size))
+    actions = [
+        (f"a{j}", partial(1, 2) if guarded else {}, partial(0, 3))
+        for j in range(draw(st.integers(0, 6)))
+    ]
+    return make_query(size, actions, init, partial(0, len(size)), 1)
+
+
+def test_detect_profile_agrees_with_the_flag_definitions():
+    seen = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(profile_task())
+    def check(query):
+        inst = query.instance
+        actions = inst.actions
+        writes = [entry for a in actions for entry in a.eff.items()]
+        prevail_values = {}
+        for a in actions:
+            for name, value in a.pre.items():
+                if name not in a.eff:
+                    prevail_values.setdefault(name, set()).add(value)
+        expected = RestrictionProfile(
+            has_P=all(writes.count(entry) == 1 for entry in writes),
+            has_U=all(len(a.eff) == 1 for a in actions),
+            has_B=all(len(v.domain) == 2 for v in inst.variables),
+            has_S=all(len(values) == 1 for values in prevail_values.values()),
+            max_preconditions=max((len(a.pre) for a in actions), default=0),
+            max_effects=max((len(a.eff) for a in actions), default=0),
+        )
+        assert detect_profile(inst) == expected
+        seen.append((
+            expected.has_P,
+            expected.has_U,
+            expected.has_B,
+            expected.has_S,
+            expected.max_preconditions == 0,
+            any(not a.eff for a in actions),
+        ))
+
+    check()
+    # every flag holds and fails, tasks without any precondition and tasks
+    # with an effect-free action each turn up, in more than a tenth of the
+    # examples
+    held = [sum(column) for column in zip(*seen)]
+    assert min(held + [len(seen) - n for n in held[:4]]) > len(seen) // 10, held
