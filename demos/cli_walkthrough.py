@@ -1,10 +1,12 @@
 """Drive the command line end to end inside a scratch directory.
 
-Generates a gadget, classifies it, solves it with a plan file, validates
-the plan, runs the Steiner reduction on a hand-written instance, and
-finishes with a benchmark CSV.  Every step runs the `sasbp` command's entry
-point (`sasbp.cli:entry`) in a fresh interpreter, so what you see is what a
-terminal session would print, and no installed script is needed.
+Generates a clique gadget, classifies it and validates its plan; then
+classifies, solves and validates a hand-written instance and runs its
+Steiner reduction; and finishes with `sasbp solve --json` on the gadget,
+which prints the solver's counters.  Every step runs the `sasbp`
+command's entry point (`sasbp.cli:entry`) in a fresh interpreter, so what
+you see is what a terminal session would print, and no installed script
+is needed.
 """
 
 import importlib.util
@@ -75,10 +77,7 @@ def main():
         run("generate", "ortree", "--bits", "00", "--out", str(base / "stuck"))
         run("solve", str(base / "stuck.sasbp"), expect=1)
 
-        run("bench", str(base), "--out", str(base / "report.csv"))
-        print("benchmark rows:")
-        for line in (base / "report.csv").read_text().splitlines():
-            print(f"  {line}")
+        run("solve", str(base / "cq.sasbp"), "--json")
 
 
 if __name__ == "__main__":

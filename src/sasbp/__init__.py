@@ -15,6 +15,7 @@ from .core import (
     PartialState,
     PlanningInstance,
     ResourceLimitError,
+    SolveResult,
     ValidationReport,
     Variable,
     apply_action,
@@ -42,9 +43,8 @@ from .gadgets import (
     or_input_pub,
     or_threshold,
 )
-from .oracle import OracleResult, decide_bfs
+from .oracle import decide_bfs
 from .planner02 import (
-    Planner02Result,
     ReductionArtifacts,
     extract_plan,
     pick_method,
@@ -77,13 +77,12 @@ __all__ = [
     "GadgetOutput",
     "Lemma1Output",
     "MulticoloredGraph",
-    "OracleResult",
     "PartialState",
-    "Planner02Result",
     "PlanningInstance",
     "ReductionArtifacts",
     "ResourceLimitError",
     "RestrictionProfile",
+    "SolveResult",
     "SteinerInstance",
     "SteinerSolution",
     "ValidationReport",

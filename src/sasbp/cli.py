@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: classify, solve, validate, preprocess, to-steiner, steiner
-solve, generate, bench.  Exit codes are uniform across subcommands:
+solve, generate.  Exit codes are uniform across subcommands:
 
     0   YES / valid / success
     1   NO / invalid plan / no tree within the bound
@@ -9,18 +9,15 @@ solve, generate, bench.  Exit codes are uniform across subcommands:
     3   resource limit hit before a decision
 
 All output is deterministic for a given input, so repeated runs are byte
-identical and safe to diff, except the wall-clock seconds column of the
-bench CSV; every other byte of that report is deterministic too.
+identical and safe to diff.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 from .core import DEFAULT_MAX_STATES, BoundedQuery, ResourceLimitError, validate_plan
@@ -42,9 +39,9 @@ from .gadgets import (
     or_input_02,
     or_input_pub,
 )
-from .planner02 import METHODS, pick_method, reduce_to_steiner, solve
+from .planner02 import METHODS, reduce_to_steiner, solve
 from .preprocess import lemma1_transform
-from .restrictions import broken_variables, detect_profile, lookup_pe, lookup_pubs
+from .restrictions import detect_profile, lookup_pe, lookup_pubs
 from .steiner import solve_dst
 
 EXIT_YES = 0
@@ -221,51 +218,6 @@ def cmd_generate(args) -> int:
     return EXIT_YES
 
 
-def cmd_bench(args) -> int:
-    directory = Path(args.dir)
-    if not directory.is_dir():
-        raise NotADirectoryError(f"{args.dir} is not a directory")
-    paths = sorted(directory.glob("*.sasbp"))
-    columns = (
-        "instance",
-        "method",
-        "k",
-        "decision",
-        "seconds",
-        "explored_states",
-        "dp_table_entries",
-        "terminals",
-    )
-    rows = []
-    for path in paths:
-        explored = dp_entries = terminals = ""
-        try:
-            query = parse_instance(path.read_text(), allow_reserved=True)
-            method = pick_method(query.instance)
-            start = time.perf_counter()
-            result = solve(query, method, max_states=args.max_states)
-            decision = "YES" if result.decision else "NO"
-            explored = result.explored_states or ""
-            dp_entries = result.dp_table_entries or ""
-        except ResourceLimitError:
-            decision = "GAVE_UP"
-        except ValueError as exc:
-            # a file that does not parse, or that the solver rejects
-            raise ValueError(f"{path}: {exc}") from None
-        seconds = f"{time.perf_counter() - start:.4f}"
-        if method == "fpt02" and decision != "GAVE_UP":
-            terminals = len(broken_variables(query.instance))
-        rows.append(
-            (path.name, method, query.k, decision, seconds, explored, dp_entries, terminals)
-        )
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
-    print(f"benchmarked {len(rows)} instances -> {args.out}")
-    return EXIT_YES
-
-
 def _state_budget(text: str) -> int:
     """argparse type for --max-states: an integer of at least 1."""
     try:
@@ -359,12 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     for pg in gen_sub.choices.values():
         pg.add_argument("--out", required=True, help="output base path (no extension)")
         pg.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("bench", help="solve every instance in a directory")
-    p.add_argument("dir", help="directory of .sasbp files")
-    p.add_argument("--out", required=True, help="CSV report path")
-    p.add_argument("--max-states", type=_state_budget, default=DEFAULT_MAX_STATES, help=budget)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

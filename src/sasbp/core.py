@@ -188,6 +188,37 @@ class BoundedQuery:
 
 
 @dataclass(frozen=True)
+class SolveResult:
+    """The answer of either exact solver: a shortest witness on YES, None on NO.
+
+    decision and plan_length are read from the witness, so no result says
+    YES without one.  method names the solver that answered, "fpt02" or
+    "oracle".  The oracle fills explored_states, the states it expanded;
+    fpt02 fills dp_table_entries, the subset table's cells, when it built
+    that table.  Two names stay for the benchmark's readers: bench/run.py
+    and bench/selftest.py read shortest_length, plan_length under its old
+    name, and bench/tracing.py reads fallback, the class constant False,
+    since no decision is handed to another solver.
+    """
+
+    witness: tuple[str, ...] | None
+    method: str
+    explored_states: int | None = None
+    dp_table_entries: int | None = None
+    fallback = False
+
+    @property
+    def decision(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def plan_length(self) -> int | None:
+        return None if self.witness is None else len(self.witness)
+
+    shortest_length = plan_length
+
+
+@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of checking a plan step by step.
 

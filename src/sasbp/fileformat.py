@@ -113,6 +113,8 @@ def parse_instance(text: str, allow_reserved: bool = False) -> BoundedQuery:
     while line.startswith("var "):
         if len(parts) < 3:
             raise FormatError(f"line {lineno}: var needs a name and at least one value")
+        if "=" in parts[1]:
+            raise FormatError(f"line {lineno}: variable name {parts[1]!r} holds '='")
         if not allow_reserved:
             _check_name("variable", parts[1], lineno)
         try:

@@ -83,26 +83,7 @@ per case there, where the cliques have no preconditions and the OR gadgets do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import DEFAULT_MAX_STATES, BoundedQuery, ResourceLimitError
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """A shortest witness on YES, None on NO, and the states expanded; the
-    decision and the length are read from the witness."""
-
-    witness: tuple[str, ...] | None
-    explored_states: int
-
-    @property
-    def decision(self) -> bool:
-        return self.witness is not None
-
-    @property
-    def shortest_length(self) -> int | None:
-        return None if self.witness is None else len(self.witness)
+from .core import DEFAULT_MAX_STATES, BoundedQuery, ResourceLimitError, SolveResult
 
 
 def _packed(inst):
@@ -174,7 +155,7 @@ def _witness(state: int, parent: dict, inst, actions) -> tuple[str, ...]:
     return tuple(reversed(steps))
 
 
-def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> OracleResult:
+def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> SolveResult:
     """Decide whether a plan of length at most k exists.
 
     Returns a shortest witness on YES.  Raises ResourceLimitError once more than
@@ -215,7 +196,7 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                     f"{explored} states expanded, {len(parent)} stored"
                 )
             if state & goal_mask == goal_bits:
-                return OracleResult(_witness(state, parent, inst, actions), explored)
+                return SolveResult(_witness(state, parent, inst, actions), "oracle", explored)
             if depth == k:
                 continue
             tries = after[b]
@@ -240,4 +221,4 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Ora
                         note(index)
         level, made_by = states, generators
         depth += 1
-    return OracleResult(None, explored)
+    return SolveResult(None, "oracle", explored)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_MAX_STATES, BoundedQuery, PlanningInstance, validate_plan
+from .core import DEFAULT_MAX_STATES, BoundedQuery, PlanningInstance, SolveResult, validate_plan
 from .oracle import decide_bfs
 from .restrictions import broken_variables, split_effects
 from .steiner import SteinerInstance, SteinerSolution, extract_arborescence, solve_dst
@@ -57,31 +57,6 @@ class ReductionArtifacts:
 
     steiner: SteinerInstance
     arc_origin: dict[tuple[str, str], tuple[str, ...]]
-
-
-@dataclass(frozen=True)
-class Planner02Result:
-    """A shortest witness for the queried instance on YES, None on NO.
-
-    decision and plan_length are read from the witness, so no result says
-    YES without one.  method names the solver that was asked for, "fpt02"
-    or "oracle".  fallback is the class constant False, since no decision
-    is handed to another solver; it stays for existing readers of it.
-    """
-
-    witness: tuple[str, ...] | None = None
-    explored_states: int | None = None
-    dp_table_entries: int | None = None
-    method: str = "fpt02"
-    fallback = False
-
-    @property
-    def decision(self) -> bool:
-        return self.witness is not None
-
-    @property
-    def plan_length(self) -> int | None:
-        return None if self.witness is None else len(self.witness)
 
 
 def pick_method(instance: PlanningInstance) -> str:
@@ -190,7 +165,7 @@ def extract_plan(
     )
 
 
-def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Planner02Result:
+def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> SolveResult:
     """Decide bounded plan existence for a (0, <=2) task.
 
     A task the module docstring answers without a tree gets its answer
@@ -206,7 +181,7 @@ def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Plann
     if _needs_no_tree(inst, terminals, query.k):
         _check_reducible(inst)
         if terminals:
-            return Planner02Result()
+            return SolveResult(None, "fpt02")
         witness: tuple[str, ...] = ()
     else:
         artifacts = reduce_to_steiner(query)
@@ -214,7 +189,7 @@ def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Plann
         solution = solve_dst(artifacts.steiner, stats_out=stats, max_states=max_states)
         entries = stats.get("table_entries")
         if solution is None:
-            return Planner02Result(dp_table_entries=entries)
+            return SolveResult(None, "fpt02", dp_table_entries=entries)
         witness = extract_plan(artifacts, solution)
     report = validate_plan(inst, witness)
     if not report.valid:
@@ -223,12 +198,12 @@ def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Plann
         raise RuntimeError(
             f"extracted plan has {len(witness)} steps, over the bound {query.k}"
         )
-    return Planner02Result(witness, dp_table_entries=entries)
+    return SolveResult(witness, "fpt02", dp_table_entries=entries)
 
 
 def solve(
     query: BoundedQuery, method: str = "auto", max_states: int = DEFAULT_MAX_STATES
-) -> Planner02Result:
+) -> SolveResult:
     """Decide bounded plan existence for any task with the named method.
 
     "auto" takes pick_method's choice; "fpt02" runs solve_02 and raises
@@ -243,5 +218,4 @@ def solve(
         method = pick_method(query.instance)
     if method == "fpt02":
         return solve_02(query, max_states)
-    oracle = decide_bfs(query, max_states=max_states)
-    return Planner02Result(oracle.witness, explored_states=oracle.explored_states, method="oracle")
+    return decide_bfs(query, max_states=max_states)

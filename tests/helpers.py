@@ -9,6 +9,7 @@ from sasbp.core import (
     BoundedQuery,
     PartialState,
     PlanningInstance,
+    SolveResult,
     ValidationReport,
     Variable,
     apply_action,
@@ -16,7 +17,7 @@ from sasbp.core import (
     is_valid_in,
 )
 from sasbp.fileformat import HEADER, INTEGER, RESERVED_PREFIX, FormatError
-from sasbp.oracle import DEFAULT_MAX_STATES, OracleResult, ResourceLimitError, decide_bfs
+from sasbp.oracle import DEFAULT_MAX_STATES, ResourceLimitError, decide_bfs
 from sasbp.steiner import INFINITY, SteinerInstance, SteinerSolution
 
 BIN = ("0", "1")
@@ -133,7 +134,7 @@ def _compiled(query: BoundedQuery):
 
 def tuple_bfs(
     query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES, bounded: bool = False
-) -> OracleResult:
+) -> SolveResult:
     """Tuple-state reference for decide_bfs: same search order, same result.
 
     With bounded, a successor at depth d is not stored when d plus the
@@ -164,7 +165,7 @@ def tuple_bfs(
                 cursor, action_index = came_from[cursor]
                 steps.append(actions[action_index][0])
             steps.reverse()
-            return OracleResult(tuple(steps), explored)
+            return SolveResult(tuple(steps), "oracle", explored)
         if depth == query.k:
             continue
         for action_index, (_, pre, eff) in enumerate(actions):
@@ -182,7 +183,7 @@ def tuple_bfs(
                     continue
             came_from[successor] = (state, action_index)
             queue.append((successor, depth + 1))
-    return OracleResult(None, explored)
+    return SolveResult(None, "oracle", explored)
 
 
 def redundant(a: int, b: int, actions) -> bool:
@@ -200,7 +201,7 @@ def redundant(a: int, b: int, actions) -> bool:
 
 
 def _outcome(search, query: BoundedQuery, **options):
-    """The OracleResult of a search, or its budget message."""
+    """The SolveResult of a search, or its budget message."""
     try:
         return search(query, **options)
     except ResourceLimitError as error:
@@ -209,7 +210,7 @@ def _outcome(search, query: BoundedQuery, **options):
 
 def same_as_tuple_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES):
     """Run decide_bfs and require the outcome of the bounded tuple_bfs: equal
-    OracleResults, or ResourceLimitErrors with equal messages.  Against the
+    SolveResults, or ResourceLimitErrors with equal messages.  Against the
     unbounded tuple_bfs, require the same decision, witness and length, and an
     answer wherever it answered.  Returns the result, or None when the budget
     ran out."""
@@ -217,12 +218,12 @@ def same_as_tuple_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES)
     bounded = _outcome(tuple_bfs, query, max_states=max_states, bounded=True)
     plain = _outcome(tuple_bfs, query, max_states=max_states)
     assert packed == bounded, (packed, bounded)
-    if isinstance(plain, OracleResult):
-        assert isinstance(packed, OracleResult), (packed, plain)
+    if isinstance(plain, SolveResult):
+        assert isinstance(packed, SolveResult), (packed, plain)
         assert packed.decision == plain.decision, (packed, plain)
         assert packed.witness == plain.witness, (packed, plain)
-        assert packed.shortest_length == plain.shortest_length, (packed, plain)
-    return packed if isinstance(packed, OracleResult) else None
+        assert packed.plan_length == plain.plan_length, (packed, plain)
+    return packed if isinstance(packed, SolveResult) else None
 
 
 def enumerate_plans(
@@ -521,6 +522,8 @@ def reference_parse_instance(text: str, allow_reserved: bool = False) -> Bounded
         parts = line.split()
         if len(parts) < 3:
             raise FormatError(f"line {lineno}: var needs a name and at least one value")
+        if "=" in parts[1]:
+            raise FormatError(f"line {lineno}: variable name {parts[1]!r} holds '='")
         _check_name("variable", parts[1], lineno, allow_reserved)
         try:
             variables.append(Variable(parts[1], tuple(parts[2:])))

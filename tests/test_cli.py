@@ -1,5 +1,4 @@
 import argparse
-import csv
 import json
 import os
 import re
@@ -426,77 +425,6 @@ class TestGenerate:
         assert needle in err
 
 
-class TestBench:
-    def test_csv_report(self, capsys, tmp_path):
-        pool = tmp_path / "pool"
-        pool.mkdir()
-        run(capsys, "generate", "ortree", "--bits", "00", "--out", str(pool / "a"))
-        run(capsys, "generate", "ortree", "--bits", "11", "--out", str(pool / "b"))
-        run(capsys, "generate", "compose-02", "--out", str(pool / "c"))
-        report = tmp_path / "report.csv"
-        code, out, _ = run(capsys, "bench", str(pool), "--out", str(report))
-        assert code == 0
-        assert out == f"benchmarked 3 instances -> {report}\n"
-        with open(report, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert [r["instance"] for r in rows] == ["a.sasbp", "b.sasbp", "c.sasbp"]
-        assert [r["decision"] for r in rows] == ["NO", "YES", "YES"]
-        assert [r["method"] for r in rows] == ["oracle", "oracle", "fpt02"]
-        assert rows[2]["terminals"] == "5"
-        assert all(float(r["seconds"]) >= 0 for r in rows)
-
-    def test_terminals_column(self, capsys, tmp_path):
-        # an fpt02 row counts the broken variables, 0 when init meets the
-        # goal; an oracle row leaves the column empty
-        (tmp_path / "met.sasbp").write_text(TRADE.replace("init a=0 b=0", "init a=1 b=1"))
-        (tmp_path / "gated.sasbp").write_text(GATED)
-        report = tmp_path / "report.csv"
-        assert run(capsys, "bench", str(tmp_path), "--out", str(report))[0] == 0
-        with open(report, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert [(r["instance"], r["method"], r["decision"], r["terminals"]) for r in rows] == [
-            ("gated.sasbp", "oracle", "YES", ""),
-            ("met.sasbp", "fpt02", "YES", "0"),
-        ]
-
-    def test_missing_directory_is_a_usage_error(self, capsys, tmp_path):
-        report = tmp_path / "report.csv"
-        code, out, err = run(capsys, "bench", str(tmp_path / "nope"), "--out", str(report))
-        assert (code, out) == (2, "")
-        assert err == f"error: {tmp_path / 'nope'} is not a directory\n"
-        assert not report.exists()
-
-    def test_file_given_as_directory_is_a_usage_error(self, capsys, tmp_path, trade_file):
-        report = tmp_path / "report.csv"
-        code, out, err = run(capsys, "bench", trade_file, "--out", str(report))
-        assert (code, out) == (2, "")
-        assert err == f"error: {trade_file} is not a directory\n"
-        assert not report.exists()
-
-    def test_malformed_instance_is_named(self, capsys, tmp_path, trade_file):
-        # a good file, then one that stops after its variables: exit 2, no
-        # CSV, and the message says which file failed to parse
-        bad = tmp_path / "truncated.sasbp"
-        bad.write_text("SASBP 1\nvar x 0\n")
-        report = tmp_path / "report.csv"
-        code, out, err = run(capsys, "bench", str(tmp_path), "--out", str(report))
-        assert (code, out) == (2, "")
-        assert err == f"error: {bad}: line ?: expected init line after variables\n"
-        assert not report.exists()
-
-    def test_instance_the_solver_rejects_is_named(self, capsys, tmp_path, trade_file):
-        # a good file, then one that parses, since bench reads generated files
-        # with reserved names allowed, but that the Steiner reduction refuses
-        bad = tmp_path / "with_root.sasbp"
-        bad.write_text("SASBP 1\nvar __root 0 1\ninit __root=0\ngoal __root=1\nk 1\n")
-        report = tmp_path / "report.csv"
-        code, out, err = run(capsys, "bench", str(tmp_path), "--out", str(report))
-        assert (code, out) == (2, "")
-        reason = "variable name '__root' is reserved for the root and pair nodes"
-        assert err == f"error: {bad}: {reason}\n"
-        assert not report.exists()
-
-
 class TestGoldenOutput:
     """Exact stdout, plan files and exit codes, pinned so that refactoring
     the solve path cannot change a byte of what the CLI prints."""
@@ -566,9 +494,9 @@ class TestGoldenOutput:
         for extra in ((), ("--json",)):
             assert run(capsys, "solve", str(path), "--max-states", "2", *extra) == (3, "", err)
 
-    def test_bench_rows(self, capsys, tmp_path):
-        pool = tmp_path / "pool"
-        pool.mkdir()
+    def test_solve_json_over_generated_files(self, capsys, tmp_path):
+        # every counter that `solve --json` prints, on generated gadgets and
+        # the tasks above; at a budget of 2 the oracle gives up and fpt02 not
         for argv in (
             ("ortree", "--bits", "00"),
             ("ortree", "--bits", "0010"),
@@ -579,46 +507,61 @@ class TestGoldenOutput:
             ("compose-02",),
         ):
             name = "-".join(a.strip("-") for a in argv)
-            assert run(capsys, "generate", *argv, "--out", str(pool / name))[0] == 0
+            assert run(capsys, "generate", *argv, "--out", str(tmp_path / name))[0] == 0
         for name, text in (("trade", TRADE), ("no", TRADE.replace("k 3", "k 1")), ("gated", GATED)):
-            (pool / f"{name}.sasbp").write_text(text)
+            (tmp_path / f"{name}.sasbp").write_text(text)
 
-        def rows(*extra):
-            report = tmp_path / "report.csv"
-            code, out, _ = run(capsys, "bench", str(pool), "--out", str(report), *extra)
-            assert (code, out) == (0, f"benchmarked 10 instances -> {report}\n")
-            with open(report, newline="") as handle:
-                table = list(csv.reader(handle))
-            assert table[0][4] == "seconds"
-            return [",".join(row[:4] + row[5:]) for row in table]
-
-        header = "instance,method,k,decision,explored_states,dp_table_entries,terminals"
-        assert rows() == [
-            header,
-            "clique-complete.sasbp,oracle,6,YES,136,,",
-            "clique-empty.sasbp,fpt02,6,NO,,,3",
-            "compose-02.sasbp,fpt02,21,YES,,32,5",
-            "compose-pub.sasbp,oracle,14,YES,246,,",
-            "gated.sasbp,oracle,2,YES,3,,",
-            "no.sasbp,fpt02,1,NO,,,2",
-            "ortree-bits-00.sasbp,oracle,6,NO,8,,",
-            "ortree-bits-0010.sasbp,oracle,12,YES,887,,",
-            "ortree-bits-11.sasbp,oracle,6,YES,15,,",
-            "trade.sasbp,fpt02,3,YES,,3,2",
-        ]
-        assert rows("--max-states", "2") == [
-            header,
-            "clique-complete.sasbp,oracle,6,GAVE_UP,,,",
-            "clique-empty.sasbp,fpt02,6,NO,,,3",
-            "compose-02.sasbp,fpt02,21,YES,,32,5",
-            "compose-pub.sasbp,oracle,14,GAVE_UP,,,",
-            "gated.sasbp,oracle,2,GAVE_UP,,,",
-            "no.sasbp,fpt02,1,NO,,,2",
-            "ortree-bits-00.sasbp,oracle,6,GAVE_UP,,,",
-            "ortree-bits-0010.sasbp,oracle,12,GAVE_UP,,,",
-            "ortree-bits-11.sasbp,oracle,6,GAVE_UP,,,",
-            "trade.sasbp,fpt02,3,YES,,3,2",
-        ]
+        answers = {
+            "clique-complete": (0, '{"decision": "yes", "dp_table_entries": null, '
+                                '"explored_states": 136, "fallback": false, "length": 6, '
+                                '"method": "oracle"}\n'),
+            "clique-empty": (1, '{"decision": "no", "dp_table_entries": null, '
+                             '"explored_states": null, "fallback": false, "length": null, '
+                             '"method": "fpt02"}\n'),
+            "compose-02": (0, '{"decision": "yes", "dp_table_entries": 32, '
+                           '"explored_states": null, "fallback": false, "length": 20, '
+                           '"method": "fpt02"}\n'),
+            "compose-pub": (0, '{"decision": "yes", "dp_table_entries": null, '
+                            '"explored_states": 246, "fallback": false, "length": 14, '
+                            '"method": "oracle"}\n'),
+            "gated": (0, '{"decision": "yes", "dp_table_entries": null, '
+                      '"explored_states": 3, "fallback": false, "length": 2, '
+                      '"method": "oracle"}\n'),
+            "no": (1, '{"decision": "no", "dp_table_entries": null, '
+                   '"explored_states": null, "fallback": false, "length": null, '
+                   '"method": "fpt02"}\n'),
+            "ortree-bits-00": (1, '{"decision": "no", "dp_table_entries": null, '
+                               '"explored_states": 8, "fallback": false, "length": null, '
+                               '"method": "oracle"}\n'),
+            "ortree-bits-0010": (0, '{"decision": "yes", "dp_table_entries": null, '
+                                 '"explored_states": 887, "fallback": false, "length": 12, '
+                                 '"method": "oracle"}\n'),
+            "ortree-bits-11": (0, '{"decision": "yes", "dp_table_entries": null, '
+                               '"explored_states": 15, "fallback": false, "length": 6, '
+                               '"method": "oracle"}\n'),
+            "trade": (0, '{"decision": "yes", "dp_table_entries": 3, '
+                      '"explored_states": null, "fallback": false, "length": 2, '
+                      '"method": "fpt02"}\n'),
+        }
+        gave_up = {
+            "clique-complete": "depth 1: 2 states expanded, 13 stored",
+            "compose-pub": "depth 1: 2 states expanded, 6 stored",
+            "gated": "depth 2: 3 states expanded, 3 stored",
+            "ortree-bits-00": "depth 1: 2 states expanded, 3 stored",
+            "ortree-bits-0010": "depth 1: 2 states expanded, 7 stored",
+            "ortree-bits-11": "depth 1: 2 states expanded, 3 stored",
+        }
+        paths = sorted(tmp_path.glob("*.sasbp"))
+        assert [path.stem for path in paths] == sorted(answers)
+        for path in paths:
+            code, out = answers[path.stem]
+            assert run(capsys, "solve", str(path), "--json") == (code, out, "")
+            limited = run(capsys, "solve", str(path), "--json", "--max-states", "2")
+            if path.stem in gave_up:
+                err = f"resource limit: state budget of 2 exhausted at {gave_up[path.stem]}\n"
+                assert limited == (3, "", err)
+            else:
+                assert limited == (code, out, "")
 
 
 class TestErrorsAndEntry:
@@ -627,37 +570,44 @@ class TestErrorsAndEntry:
         assert code == 2
         assert "error:" in err
 
+    def test_malformed_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "truncated.sasbp"
+        path.write_text("SASBP 1\nvar x 0\n")
+        err = "error: line ?: expected init line after variables\n"
+        assert run(capsys, "solve", str(path)) == (2, "", err)
+
+    def test_reserved_root_name_is_a_usage_error(self, capsys, tmp_path):
+        # --allow-reserved lets the file parse; the Steiner reduction refuses it
+        path = tmp_path / "with_root.sasbp"
+        path.write_text("SASBP 1\nvar __root 0 1\ninit __root=0\ngoal __root=1\nk 1\n")
+        err = "error: variable name '__root' is reserved for the root and pair nodes\n"
+        assert run(capsys, "solve", str(path), "--allow-reserved") == (2, "", err)
+
     def test_bad_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
         capsys.readouterr()
 
+    # "command" holds solve alone, the one subcommand with --max-states; it
+    # keeps these tests' ids
     @pytest.mark.parametrize("budget", ["0", "-5"])
-    @pytest.mark.parametrize("command", ["solve", "bench"])
-    def test_state_budget_below_one_is_a_usage_error(
-        self, capsys, tmp_path, trade_file, command, budget
-    ):
-        report = tmp_path / "report.csv"
-        argv = [trade_file] if command == "solve" else [str(tmp_path), "--out", str(report)]
+    @pytest.mark.parametrize("command", ["solve"])
+    def test_state_budget_below_one_is_a_usage_error(self, capsys, trade_file, command, budget):
         with pytest.raises(SystemExit) as info:
-            main([command, *argv, "--max-states", budget])
+            main([command, trade_file, "--max-states", budget])
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --max-states: state budget must be at least 1, got {budget}" in err
-        assert not report.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "bench"])
-    def test_state_budget_not_an_int_is_a_usage_error(self, capsys, tmp_path, trade_file, command):
-        report = tmp_path / "report.csv"
-        argv = [trade_file] if command == "solve" else [str(tmp_path), "--out", str(report)]
+    @pytest.mark.parametrize("command", ["solve"])
+    def test_state_budget_not_an_int_is_a_usage_error(self, capsys, trade_file, command):
         with pytest.raises(SystemExit) as info:
-            main([command, *argv, "--max-states", "abc"])
+            main([command, trade_file, "--max-states", "abc"])
         assert info.value.code == 2
         assert "argument --max-states: invalid int value: 'abc'" in capsys.readouterr().err
-        assert not report.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("command", ["solve"])
     def test_max_states_help_says_what_the_budget_bounds(self, capsys, command):
         with pytest.raises(SystemExit) as info:
             main([command, "--help"])

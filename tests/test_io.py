@@ -125,6 +125,7 @@ def test_parsed_states_are_full_partial_states():
         ("SASBP 2\n", "expected header"),
         ("# intro\n\n# more\nSASBP 2\n", "line 4: expected header"),
         ("SASBP 1\nvar x\n", "line 2: var needs a name"),
+        ("SASBP 1\nvar a=b 0 1\ninit a=b=0\n", "line 2: variable name 'a=b' holds '='"),
         ("SASBP 1\nvar x 0 1\nk 0\n", "expected init line"),
         ("SASBP 1\nvar x 0 1\ninit x\n", "line 3: expected NAME=VALUE"),
         ("SASBP 1\nvar x 0 1\ninit x=0 x=1\n", "line 3: 'x' assigned twice"),

@@ -251,7 +251,7 @@ def _gadget_queries():
 
 def test_packed_states_match_the_tuple_reference_on_gadgets():
     # clique gadgets, all 16 four-bit OR trees with their preconditions and
-    # the postunique OR compositions: every OracleResult field agrees with
+    # the postunique OR compositions: every SolveResult field agrees with
     # the bounded tuple search, and so does the budget message when a small
     # budget runs out; the answers agree with the unbounded one
     decisions, limited = [], []

@@ -8,7 +8,7 @@ import pytest
 
 import sasbp.planner02 as planner02
 from sasbp import steiner
-from sasbp.core import BoundedQuery, validate_plan
+from sasbp.core import BoundedQuery, SolveResult, validate_plan
 from sasbp.gadgets import (
     MulticoloredGraph,
     compose_or_02,
@@ -394,13 +394,18 @@ def gated_task(k):
 
 
 def assert_is_oracle_result(result, query):
-    oracle = decide_bfs(query)
-    assert result.decision == oracle.decision
-    assert result.witness == oracle.witness
-    assert result.plan_length == oracle.shortest_length
-    assert result.explored_states == oracle.explored_states
-    assert result.method == "oracle" and not result.fallback
-    assert result.dp_table_entries is None
+    assert result == decide_bfs(query) and result.method == "oracle"
+    assert not result.fallback and result.dp_table_entries is None
+
+
+def test_both_solvers_return_one_result_type():
+    guarded, fragment = gated_task(2), chained_query(2)
+    results = [solve_02(fragment)]
+    for query in (guarded, fragment):
+        oracle = decide_bfs(query)
+        assert solve(query, method="oracle") == oracle
+        results += [oracle, solve(query)]
+    assert {type(result) for result in results} == {SolveResult}
 
 
 def test_solve_matches_solve_02_and_decide_bfs():
