@@ -17,7 +17,7 @@ def main():
     for v1, v2 in itertools.product((False, True), repeat=2):
         out = gen_or_tree((v1, v2))
         oracle = decide_bfs(out.query)
-        shortest = oracle.shortest_length if oracle.decision else "-"
+        shortest = oracle.plan_length if oracle.decision else "-"
         print(f"  v1={int(v1)} v2={int(v2)}: {out.ground_truth:3} shortest={shortest}")
     gadget = gen_or_tree((True, False)).query.instance
     print(f"  {len(gadget.variables)} variables, {len(gadget.actions)} actions")

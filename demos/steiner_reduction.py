@@ -57,8 +57,8 @@ def main():
     print(f"  valid: {validate_plan(query.instance, plan).valid}")
 
     oracle = decide_bfs(query)
-    print(f"search oracle shortest length: {oracle.shortest_length}")
-    assert len(plan) == oracle.shortest_length
+    print(f"search oracle shortest length: {oracle.plan_length}")
+    assert len(plan) == oracle.plan_length
 
     # one unit less and the tree no longer fits
     tight = BoundedQuery(query.instance, len(plan) - 1)

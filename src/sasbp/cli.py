@@ -93,7 +93,6 @@ def cmd_solve(args) -> int:
             "decision": "yes" if decision else "no",
             "length": result.plan_length,
             "method": result.method,
-            "fallback": result.fallback,
             "explored_states": result.explored_states,
             "dp_table_entries": result.dp_table_entries,
         }

@@ -195,10 +195,9 @@ class SolveResult:
     YES without one.  method names the solver that answered, "fpt02" or
     "oracle".  The oracle fills explored_states, the states it expanded;
     fpt02 fills dp_table_entries, the subset table's cells, when it built
-    that table.  Two names stay for the benchmark's readers: bench/run.py
-    and bench/selftest.py read shortest_length, plan_length under its old
-    name, and bench/tracing.py reads fallback, the class constant False,
-    since no decision is handed to another solver.
+    that table.  Two more names are read only by bench/: shortest_length,
+    plan_length under its old name, and fallback, the constant False, since
+    no solver hands its decision to another.
     """
 
     witness: tuple[str, ...] | None

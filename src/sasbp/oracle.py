@@ -159,7 +159,8 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Sol
     """Decide whether a plan of length at most k exists.
 
     Returns a shortest witness on YES.  Raises ResourceLimitError once more than
-    max_states states have been expanded or, checked once per expansion, stored.
+    max_states states are stored, checked once per expansion; every expanded
+    state was stored first, so this also bounds the states expanded.
     A state first stored by action b tries only the actions that neither cover
     b nor commute with it from an earlier declaration (module docstring): the
     others lead to stored states, so the result is that of the full search.
@@ -190,7 +191,7 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Sol
         store, note = states.append, generators.append
         for state, b in zip(level, made_by):
             explored += 1
-            if explored > max_states or len(parent) > max_states:
+            if len(parent) > max_states:
                 raise ResourceLimitError(
                     f"state budget of {max_states} exhausted at depth {depth}: "
                     f"{explored} states expanded, {len(parent)} stored"

@@ -228,14 +228,13 @@ def solve_dst(
     bound = inst.bound - forced_weight
     if stats_out is not None:
         stats_out.update(forced=len(forced), terminals=len(t_idx) + dropped, merged=dropped)
-    if bound < 0:
+    if (len(t_idx) + dropped) * min(inst.weights.values(), default=0) > bound:
+        # Each remaining terminal and twin needs a distinct (and has a live) in-arc;
+        # with none left, this is the forced arcs weighing more than the bound.
         return None
     forced_arcs = [(inst.nodes[u], inst.nodes[t]) for u, t, _ in forced]
     if not t_idx:
         return _tree(inst, forced_arcs)
-    if (len(t_idx) + dropped) * min(inst.weights.values()) > bound:
-        # Each remaining terminal and twin needs a distinct (and has a live) in-arc.
-        return None
 
     full = (1 << len(t_idx)) - 1
     work = full

@@ -196,7 +196,7 @@ def test_criterion_06_or2_truth_table():
         oracle = decide_bfs(out.query)
         assert (out.ground_truth == YES) == oracle.decision == (v1 or v2)
         if v1 or v2:
-            assert oracle.shortest_length == 6
+            assert oracle.plan_length == 6
             assert len(out.witness) == 6
 
 
@@ -209,7 +209,7 @@ def test_criterion_07_or_tree_bound():
             assert out.query.k == bound
             oracle = decide_bfs(out.query)
             assert out.ground_truth == YES and oracle.decision
-            assert oracle.shortest_length <= bound
+            assert oracle.plan_length <= bound
         cold = gen_or_tree([False] * r)
         assert cold.ground_truth == "no"
         assert not decide_bfs(cold.query).decision

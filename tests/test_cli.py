@@ -138,8 +138,9 @@ class TestSolve:
         assert payload["decision"] == "yes"
         assert payload["length"] == 2
         assert payload["method"] == "fpt02"
-        assert "chain_transform" not in payload
-        assert payload["fallback"] is False
+        assert payload.keys() == {
+            "decision", "length", "method", "explored_states", "dp_table_entries"
+        }
         assert payload["dp_table_entries"] is not None
 
     def test_auto_falls_back_to_oracle_on_preconditions(self, capsys, tmp_path):
@@ -438,7 +439,7 @@ class TestGoldenOutput:
                 0,
                 "YES\nplan length: 2\nmethod: fpt02\n",
                 '{"decision": "yes", "dp_table_entries": 3, "explored_states": null, '
-                '"fallback": false, "length": 2, "method": "fpt02"}\n',
+                '"length": 2, "method": "fpt02"}\n',
                 "trade\nfix_a\n",
             ),
             (
@@ -447,7 +448,7 @@ class TestGoldenOutput:
                 1,
                 "NO\nmethod: fpt02\n",
                 '{"decision": "no", "dp_table_entries": null, "explored_states": null, '
-                '"fallback": false, "length": null, "method": "fpt02"}\n',
+                '"length": null, "method": "fpt02"}\n',
                 None,
             ),
             (
@@ -456,7 +457,7 @@ class TestGoldenOutput:
                 0,
                 "YES\nplan length: 2\nmethod: oracle\n",
                 '{"decision": "yes", "dp_table_entries": null, "explored_states": 3, '
-                '"fallback": false, "length": 2, "method": "oracle"}\n',
+                '"length": 2, "method": "oracle"}\n',
                 "open\nset_x\n",
             ),
             (
@@ -465,7 +466,7 @@ class TestGoldenOutput:
                 0,
                 "YES\nplan length: 2\nmethod: oracle\n",
                 '{"decision": "yes", "dp_table_entries": null, "explored_states": 4, '
-                '"fallback": false, "length": 2, "method": "oracle"}\n',
+                '"length": 2, "method": "oracle"}\n',
                 "trade\nfix_a\n",
             ),
         ],
@@ -513,34 +514,34 @@ class TestGoldenOutput:
 
         answers = {
             "clique-complete": (0, '{"decision": "yes", "dp_table_entries": null, '
-                                '"explored_states": 136, "fallback": false, "length": 6, '
+                                '"explored_states": 136, "length": 6, '
                                 '"method": "oracle"}\n'),
             "clique-empty": (1, '{"decision": "no", "dp_table_entries": null, '
-                             '"explored_states": null, "fallback": false, "length": null, '
+                             '"explored_states": null, "length": null, '
                              '"method": "fpt02"}\n'),
             "compose-02": (0, '{"decision": "yes", "dp_table_entries": 32, '
-                           '"explored_states": null, "fallback": false, "length": 20, '
+                           '"explored_states": null, "length": 20, '
                            '"method": "fpt02"}\n'),
             "compose-pub": (0, '{"decision": "yes", "dp_table_entries": null, '
-                            '"explored_states": 246, "fallback": false, "length": 14, '
+                            '"explored_states": 246, "length": 14, '
                             '"method": "oracle"}\n'),
             "gated": (0, '{"decision": "yes", "dp_table_entries": null, '
-                      '"explored_states": 3, "fallback": false, "length": 2, '
+                      '"explored_states": 3, "length": 2, '
                       '"method": "oracle"}\n'),
             "no": (1, '{"decision": "no", "dp_table_entries": null, '
-                   '"explored_states": null, "fallback": false, "length": null, '
+                   '"explored_states": null, "length": null, '
                    '"method": "fpt02"}\n'),
             "ortree-bits-00": (1, '{"decision": "no", "dp_table_entries": null, '
-                               '"explored_states": 8, "fallback": false, "length": null, '
+                               '"explored_states": 8, "length": null, '
                                '"method": "oracle"}\n'),
             "ortree-bits-0010": (0, '{"decision": "yes", "dp_table_entries": null, '
-                                 '"explored_states": 887, "fallback": false, "length": 12, '
+                                 '"explored_states": 887, "length": 12, '
                                  '"method": "oracle"}\n'),
             "ortree-bits-11": (0, '{"decision": "yes", "dp_table_entries": null, '
-                               '"explored_states": 15, "fallback": false, "length": 6, '
+                               '"explored_states": 15, "length": 6, '
                                '"method": "oracle"}\n'),
             "trade": (0, '{"decision": "yes", "dp_table_entries": 3, '
-                      '"explored_states": null, "fallback": false, "length": 2, '
+                      '"explored_states": null, "length": 2, '
                       '"method": "fpt02"}\n'),
         }
         gave_up = {

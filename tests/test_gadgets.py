@@ -148,7 +148,7 @@ class TestCliqueGadget:
             if oracle.decision:
                 yes += 1
                 # one edge per class pair plus one reset per class, exactly
-                assert oracle.shortest_length == out.query.k
+                assert oracle.plan_length == out.query.k
                 assert len(out.witness) == out.query.k
             else:
                 no += 1
@@ -165,7 +165,7 @@ class TestOr2:
         assert (out.ground_truth == YES) == oracle.decision == (v1 or v2)
         if v1 or v2:
             assert len(out.witness) == 6
-            assert oracle.shortest_length == 6
+            assert oracle.plan_length == 6
 
     def test_profile_is_pub_but_not_s(self):
         profile = detect_profile(gen_or_tree((True, False)).query.instance)
@@ -199,7 +199,7 @@ class TestOrTree:
                 # one gadget firing per tree level along the leaf's path
                 assert len(out.witness) % 6 == 0
                 assert len(out.witness) <= out.query.k
-                assert oracle.shortest_length <= len(out.witness)
+                assert oracle.plan_length <= len(out.witness)
 
 
 def test_or_threshold_values():
@@ -256,7 +256,7 @@ class TestComposeOrPub:
         assert profile.has_P and profile.has_U and profile.has_B
         oracle = decide_bfs(out.query)
         assert oracle.decision
-        assert oracle.shortest_length == len(out.witness) == 14
+        assert oracle.plan_length == len(out.witness) == 14
 
     def test_no_composition_checked_against_oracle(self):
         out = compose_or_pub([pub_no(), pub_no(), pub_no()])
@@ -280,7 +280,7 @@ class TestComposeOrPub:
         assert yes.query.k == 1 and yes.witness == ()
         out = compose_or_pub([yes, or_input_pub(1, False)])
         assert out.ground_truth == YES
-        assert decide_bfs(out.query).shortest_length == len(out.witness) == 7
+        assert decide_bfs(out.query).plan_length == len(out.witness) == 7
 
 
 def q02_yes(k=1):
@@ -360,7 +360,7 @@ class TestComposeOr02:
         )
 
         result = solve_02(out.query)
-        assert result.decision and not result.fallback
+        assert result.decision
         assert result.plan_length <= len(out.witness)
         assert validate_plan(inst, result.witness).valid
 
@@ -377,7 +377,7 @@ class TestComposeOr02:
         result = solve_02(out.query)
         terminals = reduce_to_steiner(out.query).steiner.terminals
         assert 2 <= len(terminals) <= out.query.k
-        assert not result.decision and not result.fallback
+        assert not result.decision
         assert result.dp_table_entries is None
 
     @pytest.mark.parametrize("k", [2, 3, 4])

@@ -21,7 +21,7 @@ def test_yes_when_goal_holds_initially():
     result = decide_bfs(q)
     assert result.decision
     assert result.witness == ()
-    assert result.shortest_length == 0
+    assert result.plan_length == 0
     assert result.explored_states == 1
 
 
@@ -72,7 +72,7 @@ def test_witness_names_the_earlier_of_two_actions_into_one_child(order):
     )
     result = same_as_tuple_bfs(q)
     assert result.witness == ("set_z", order[0])
-    assert result.shortest_length == 2
+    assert result.plan_length == 2
 
 
 def test_witness_skips_an_earlier_action_the_cover_rule_pruned():
@@ -154,7 +154,7 @@ def test_unreachable_goal_is_no():
     q = make_query({"a": 2}, [("down", {}, {"a": "0"})], {"a": "0"}, {"a": "1"}, 4)
     result = decide_bfs(q)
     assert not result.decision and result.witness is None
-    assert result.shortest_length is None
+    assert result.plan_length is None
 
 
 def test_state_cap_raises():
@@ -222,7 +222,7 @@ def test_first_enumerated_plan_matches_bfs_witness():
         result = decide_bfs(q)
         plans = enumerate_plans(q, limit=1, max_sequences=200_000)
         if result.decision:
-            assert plans and len(plans[0]) == result.shortest_length
+            assert plans and len(plans[0]) == result.plan_length
             assert plans[0] == result.witness
             report = validate_plan(q.instance, result.witness)
             assert report.valid

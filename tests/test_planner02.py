@@ -171,7 +171,6 @@ def test_solve_yes_at_exact_bound():
     assert result.decision
     assert result.witness == ("mix", "ga", "gc")
     assert result.plan_length == 3
-    assert not result.fallback
     assert result.dp_table_entries is not None
 
 
@@ -187,7 +186,6 @@ def test_solve_no_below_bound():
 def test_more_broken_variables_than_bound_is_an_instant_no():
     result = solve_02(repair_query(1))
     assert not result.decision
-    assert not result.fallback
     # 2 terminals fit 2k, so the reduction is built; both are sinks with one
     # in-arc, and the 2 forced arcs weigh more than the bound of 1, so
     # solve_dst answers before any table is built
@@ -224,8 +222,8 @@ def test_too_many_terminals_after_presolve_is_a_resource_limit():
     # the same shape with few terminals is solved exactly
     small = chain_query(4)
     result = solve_02(small)
-    assert result.decision and not result.fallback
-    assert result.plan_length == decide_bfs(small).shortest_length == 4
+    assert result.decision
+    assert result.plan_length == decide_bfs(small).plan_length == 4
 
 
 def chained_query(k):
@@ -341,7 +339,7 @@ def test_pair_path_chain_path_and_oracle_agree():
         paired += has_pair_node(query)
         if result.decision:
             yes += 1
-            assert result.plan_length == oracle.shortest_length
+            assert result.plan_length == oracle.plan_length
             assert validate_plan(query.instance, result.witness).valid
     assert yes > 5 and 40 - yes > 5 and paired > 5
 
@@ -354,11 +352,10 @@ def test_agrees_with_search_oracle_on_random_queries():
         oracle = decide_bfs(query)
         result = solve_02(query)
         assert result.decision == oracle.decision, query
-        assert not result.fallback
         paired += has_pair_node(query)
         if result.decision:
             yes += 1
-            assert result.plan_length == oracle.shortest_length
+            assert result.plan_length == oracle.plan_length
             assert len(result.witness) <= query.k
             assert validate_plan(query.instance, result.witness).valid
         else:
@@ -395,7 +392,7 @@ def gated_task(k):
 
 def assert_is_oracle_result(result, query):
     assert result == decide_bfs(query) and result.method == "oracle"
-    assert not result.fallback and result.dp_table_entries is None
+    assert result.dp_table_entries is None
 
 
 def test_both_solvers_return_one_result_type():

@@ -458,7 +458,7 @@ def test_solve_agrees_with_the_oracle_on_02_tasks():
         slow = decide_bfs(query)
         assert fast.method == "fpt02"
         assert fast.decision == slow.decision
-        assert fast.plan_length == slow.shortest_length
+        assert fast.plan_length == slow.plan_length
         if fast.decision:
             assert validate_plan(inst, fast.witness).valid
         goal = inst.goal
@@ -485,22 +485,28 @@ def test_solve_agrees_with_the_oracle_on_02_tasks():
 
 @st.composite
 def task_02_or_covered(draw):
-    """A task_02 task, half the time with more actions that write its
-    broken goal entries two at a time and a bound redrawn between half
-    their count and their count, so that tasks left to the reduction are
-    drawn about as often as each answer solve_02 gives before it, and some
-    YES plans settle two broken variables in one step."""
+    """A task_02 task or, when True is drawn (about one example in four),
+    the same task with a goal that sets every variable off its initial
+    value, one more action per two of those entries that writes them, and
+    a bound from the count of those actions to one below the count of
+    entries.  The second kind is a YES with more than k broken variables,
+    which task_02 draws in under one example of a hundred; task_02 gives
+    the other answers.  Over 60 seeds of 300 examples, each answer the
+    test below counts turned up in at least 17% of them."""
     query = draw(task_02())
-    if draw(st.booleans()):
+    if not draw(st.booleans()):
         return query
     inst = query.instance
-    entries = [(v, x) for v, x in inst.goal.items() if inst.init[v] != x]
+    entries = [
+        (v.name, v.domain[(v.domain.index(inst.init[v.name]) + 1) % len(v.domain)])
+        for v in inst.variables
+    ]
     writers = tuple(
         Action(f"w{i}", PartialState(), PartialState(entries[i:i + 2]))
         for i in range(0, len(entries), 2)
     )
-    k = draw(st.integers(len(entries) // 2, len(entries)))
-    return BoundedQuery(replace(inst, actions=inst.actions + writers), k)
+    k = draw(st.integers(len(writers), len(entries) - 1))
+    return BoundedQuery(replace(inst, actions=inst.actions + writers, goal=PartialState(entries)), k)
 
 
 def test_answers_given_before_the_reduction_agree_with_the_oracle():
@@ -513,7 +519,7 @@ def test_answers_given_before_the_reduction_agree_with_the_oracle():
         fast = solve_02(query)
         slow = decide_bfs(query)
         assert fast.decision == slow.decision
-        assert fast.plan_length == slow.shortest_length
+        assert fast.plan_length == slow.plan_length
         broken = [v for v, x in inst.goal.items() if inst.init[v] != x]
         written = {entry for a in inst.actions for entry in a.eff.items()}
         nothing = not broken

@@ -134,3 +134,19 @@ def test_package_and_demos_parse_as_python_3_10():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_bench_only_names_have_no_reader_outside_bench():
+    # SolveResult keeps shortest_length and fallback only for bench/; every
+    # other reader uses plan_length, and no solver hands a decision on.
+    # Their class-body definitions are assignments, not attribute reads.
+    root = SRC.parent.parent
+    files = [path for part in ("src", "demos", "tests") for path in sorted((root / part).rglob("*.py"))]
+    assert len(files) > 30
+    found = [
+        f"{path.relative_to(root)}:{node.lineno} {node.attr}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in {"shortest_length", "fallback"}
+    ]
+    assert found == []
