@@ -72,13 +72,19 @@ Each task's tables are built with bit operations, not a Python call per
 action pair.  The move list of a generator b is one comprehension over the
 actions that states rules (i) and (ii) on their masks, built the first time a
 state stored by b is expanded.  One popcount per action counts the goal fields
-it sets to their goal value, and one popcount per successor counts its goal
-fields off, before the successor is looked up among the stored states.  That
-test runs at every level: skipping it where no successor can fail it measured
-no faster on the oracle-gadgets cases.  There are two expansion loops, one for
-tasks with a precondition and one over (index, keep, bits) moves with no
-precondition test for tasks without: one loop for both measured 5-7% slower
-per case there, where the cliques have no preconditions and the OR gadgets do.
+it sets to their goal value.  A state's goal bits off the goal are off =
+(state ^ goal_bits) & goal_mask, 0 exactly at a goal as goal_bits lies within
+goal_mask, and each move holds those its effect sets off, eff_off = (eff_bits ^
+goal_bits) & goal_mask & eff_mask.  keep and eff_mask split the bits, so a
+successor's are (off & keep) | eff_off: the bound is one popcount per move,
+tested before the successor is built and looked up among the stored states.
+That test runs at every level: skipping it where no successor can fail it
+measured no faster on the oracle-gadgets cases.  At depth k its limit is below
+zero, so nothing is stored there and no depth cut is needed.  There are two
+expansion loops, one for tasks with a precondition, tested before the bound,
+and one over (index, keep, bits, eff_off) moves with no precondition test for
+tasks without: one loop for both measured 5-7% slower per case there, where
+the cliques have no preconditions and the OR gadgets do.
 """
 
 from __future__ import annotations
@@ -166,8 +172,10 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Sol
     others lead to stored states, so the result is that of the full search.
     A successor with more goal fields off than the steps left can set is not
     stored (module docstring): decision, witness and length stay those of the
-    full search, and the counts can only fall.  Levels are lists with int
-    parent links; the witness is recomputed from them.
+    full search, and the counts can only fall.  The bound is read off the
+    state and the move before the successor is built, and it stores nothing
+    at depth k, so there is no depth test.  Levels are lists with int parent
+    links; the witness is recomputed from them.
     """
     inst, k = query.instance, query.k
     # init is total: its mask is every field and off-goal bit
@@ -175,10 +183,11 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Sol
     per_step = max([1, *_goal_writes(actions, goal_mask, goal_bits)])
 
     guarded = any(pre_mask for pre_mask, _, _, _ in actions)
-    moves = [  # (index, keep, bits) when no action has a precondition
-        (index, pre_mask, pre_bits, everything ^ eff_mask, eff_bits)
-        if guarded else (index, everything ^ eff_mask, eff_bits)
+    moves = [  # (index, keep, bits, eff_off) when no action has a precondition
+        (index, pre_mask, pre_bits, everything ^ eff_mask, eff_bits, eff_off)
+        if guarded else (index, everything ^ eff_mask, eff_bits, eff_off)
         for index, (pre_mask, pre_bits, eff_mask, eff_bits) in enumerate(actions)
+        for eff_off in [(eff_bits ^ goal_bits) & goal_mask & eff_mask]
     ]
     after: list[list | None] = [None] * len(moves) + [moves]  # moves to try, by generator
 
@@ -196,30 +205,29 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Sol
                     f"state budget of {max_states} exhausted at depth {depth}: "
                     f"{explored} states expanded, {len(parent)} stored"
                 )
-            if state & goal_mask == goal_bits:
+            off = (state ^ goal_bits) & goal_mask  # its goal bits off their goal value
+            if not off:
                 return SolveResult(_witness(state, parent, inst, actions), "oracle", explored)
-            if depth == k:
-                continue
             tries = after[b]
             if tries is None:
                 tries = after[b] = _moves_after(b, moves, actions)
             if guarded:
-                for index, pre_mask, pre_bits, keep_mask, eff_bits in tries:
-                    if state & pre_mask == pre_bits:
+                for index, pre_mask, pre_bits, keep_mask, eff_bits, eff_off in tries:
+                    if (state & pre_mask == pre_bits
+                            and (off & keep_mask | eff_off).bit_count() <= limit):
                         successor = (state & keep_mask) | eff_bits
-                        if (((successor ^ goal_bits) & goal_mask).bit_count() <= limit
-                                and successor not in parent):
+                        if successor not in parent:
                             parent[successor] = state
                             store(successor)
                             note(index)
             else:
-                for index, keep_mask, eff_bits in tries:
-                    successor = (state & keep_mask) | eff_bits
-                    if (((successor ^ goal_bits) & goal_mask).bit_count() <= limit
-                            and successor not in parent):
-                        parent[successor] = state
-                        store(successor)
-                        note(index)
+                for index, keep_mask, eff_bits, eff_off in tries:
+                    if (off & keep_mask | eff_off).bit_count() <= limit:
+                        successor = (state & keep_mask) | eff_bits
+                        if successor not in parent:
+                            parent[successor] = state
+                            store(successor)
+                            note(index)
         level, made_by = states, generators
         depth += 1
     return SolveResult(None, "oracle", explored)

@@ -150,6 +150,23 @@ def test_goal_count_bound_tests_a_wide_goal_field_under_its_own_mask():
     assert result.explored_states == 3
 
 
+@pytest.mark.parametrize("guarded", [False, True], ids=["precondition_free", "guarded"])
+def test_at_k_zero_the_bound_stores_nothing(guarded):
+    # no depth cut: at depth k the bound's limit is below zero, so the init's
+    # applicable moves are tried and none is stored, and a budget of one
+    # stored state is not exceeded
+    q = make_query(
+        {"a": 2, "b": 2},
+        [("sa", {}, {"a": "1"}), ("sb", {"b": "0"} if guarded else {}, {"a": "1", "b": "1"})],
+        {"a": "0", "b": "0"},
+        {"a": "1"},
+        0,
+    )
+    result = same_as_tuple_bfs(q, max_states=1)
+    assert result is not None and not result.decision
+    assert result.explored_states == 1
+
+
 def test_unreachable_goal_is_no():
     q = make_query({"a": 2}, [("down", {}, {"a": "0"})], {"a": "0"}, {"a": "1"}, 4)
     result = decide_bfs(q)

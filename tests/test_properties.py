@@ -329,6 +329,47 @@ def test_move_lists_and_goal_counts_match_the_pairwise_references():
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
 
 
+def test_successor_goal_bits_are_read_off_the_state_and_the_move():
+    # keep and the effect mask split the bits, so the goal bits a successor
+    # has off its goal value are the state's off bits it keeps and those the
+    # move's effect sets off, and a state is a goal exactly when it has none
+    # off; checked at the packed init and at each action's successor of it,
+    # under every action, at every field width
+    seen = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.booleans().flatmap(lambda guarded: small_task(guarded, least_effects=0)))
+    def check(query):
+        inst = query.instance
+        (everything, start), (goal_mask, goal_bits), actions = _packed(inst)
+        moves = [
+            (everything ^ eff_mask, eff_bits, (eff_bits ^ goal_bits) & goal_mask & eff_mask)
+            for _, _, eff_mask, eff_bits in actions
+        ]
+        states = [start, *((start & keep) | bits for keep, bits, _ in moves)]
+        for state in states:
+            off = (state ^ goal_bits) & goal_mask
+            assert (off == 0) == (state & goal_mask == goal_bits)
+            for keep, bits, eff_off in moves:
+                successor = (state & keep) | bits
+                assert off & keep | eff_off == (successor ^ goal_bits) & goal_mask
+        widths = {(len(v.domain) - 1).bit_length() for v in inst.variables if v.name in inst.goal}
+        seen.append((
+            any(a.pre for a in inst.actions),
+            not any(a.pre for a in inst.actions),
+            any(state & goal_mask == goal_bits for state in states),
+            widths <= {0, 1},
+            2 in widths,
+            3 in widths,
+        ))
+
+    check()
+    # guarded and precondition-free tasks, a goal state among those checked,
+    # goals of one-bit fields only, and two- and three-bit goal fields each
+    # turn up in more than a tenth of the examples
+    assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
+
+
 def test_packed_oracle_agrees_with_tuple_reference():
     sizes, seen = set(), []
 
