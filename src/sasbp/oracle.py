@@ -68,11 +68,27 @@ stored, s + a would fail the bound too, and it is not stored either.  Testing
 the bound when a state is expanded rather than stored would keep states beyond
 the bound in the levels, and which of them depended on the skipped moves.
 
+At per_step 1 the bound also drops tight successors that are stuck.  A fixer
+of a goal field sets it to its goal value; its precondition is ignored.  A
+successor at depth d is tight when off(s) = k - d: a plan from it within k
+sets one goal field per step and none off, so the fields off only shrink and
+each fixer it uses sets off only fields off already.  s is stuck when some
+field f off in s has no fixer whose fields set off are all off in s.  So
+h'(s) = off(s) + [stuck(s)] is a lower bound, and it is consistent: only a
+step that sets one field g and none off lowers h' by two, and its action is a
+fixer of g that sets off only fields off in s, so g is not f, f stays off, and
+as the fields off only shrink, no fixer of f comes to qualify.  The proofs
+above use only that h is a consistent lower bound, so h' may replace it:
+d + h'(s) <= k fails exactly when off(s) passes the limit, or meets it, which
+is tightness, and s is stuck.  The test files each fixer under the one field it
+sets, as per_step 1 ensures.  Above 1 it is skipped: each fixer would need
+filing under every field it sets, and every task the oracle solves in the
+oracle-gadgets workload has per_step 1.
+
 Each task's tables are built with bit operations, not a Python call per
 action pair.  The move list of a generator b is one comprehension over the
 actions that states rules (i) and (ii) on their masks, built the first time a
-state stored by b is expanded.  One popcount per action counts the goal fields
-it sets to their goal value.  A state's goal bits off the goal are off =
+state stored by b is expanded.  A state's goal bits off the goal are off =
 (state ^ goal_bits) & goal_mask, 0 exactly at a goal as goal_bits lies within
 goal_mask, and each move holds those its effect sets off, eff_off = (eff_bits ^
 goal_bits) & goal_mask & eff_mask.  keep and eff_mask split the bits, so a
@@ -84,7 +100,12 @@ zero, so nothing is stored there and no depth cut is needed.  There are two
 expansion loops, one for tasks with a precondition, tested before the bound,
 and one over (index, keep, bits, eff_off) moves with no precondition test for
 tasks without: one loop for both measured 5-7% slower per case there, where
-the cliques have no preconditions and the OR gadgets do.
+the cliques have no preconditions and the OR gadgets do.  One pass over the
+actions builds the moves, per_step and the fixer table: a fix mask is eff_mask
+& goal_mask & ~eff_off, the dirty bits are the goal bits that no action without
+eff_off fixes (those no action fixes among them), and each keeps its fixers'
+eff_off.  The stuck test runs on new successors behind the dirty mask, 0 above
+per_step 1, so other tasks pay one int test for it.
 """
 
 from __future__ import annotations
@@ -139,13 +160,19 @@ def _moves_after(b: int, moves, actions) -> list:
     ]
 
 
-def _goal_writes(actions, goal_mask: int, goal_bits: int) -> list[int]:
-    """The goal fields each action sets to their goal value: one popcount,
-    over the one-bit goal fields and the off-goal bits."""
-    return [
-        (eff_mask & goal_mask & ~(eff_bits ^ goal_bits)).bit_count()
-        for _, _, eff_mask, eff_bits in actions
-    ]
+def _stuck(gap: int, fixers) -> bool:
+    """Whether a tight successor with the goal bits gap off is stuck: one of
+    them has no fixer whose eff_off lies within gap (module docstring).
+    fixers holds (bit, the eff_off of each of its fixers) for each dirty
+    goal bit."""
+    for bit, bads in fixers:
+        if gap & bit:
+            for bad in bads:
+                if not bad & ~gap:
+                    break
+            else:
+                return True
+    return False
 
 
 def _witness(state: int, parent: dict, inst, actions) -> tuple[str, ...]:
@@ -171,24 +198,35 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Sol
     b nor commute with it from an earlier declaration (module docstring): the
     others lead to stored states, so the result is that of the full search.
     A successor with more goal fields off than the steps left can set is not
-    stored (module docstring): decision, witness and length stay those of the
-    full search, and the counts can only fall.  The bound is read off the
-    state and the move before the successor is built, and it stores nothing
-    at depth k, so there is no depth test.  Levels are lists with int parent
-    links; the witness is recomputed from them.
+    stored; when no action sets two goal fields, neither is one with exactly
+    that many off of which one has no fixer that sets off only goal fields
+    off already (module docstring).  Decision, witness and length stay those
+    of the full search, and the counts can only fall.  The count is read off
+    the state and the move before the successor is built, and it stores
+    nothing at depth k, so there is no depth test.  Levels are lists with int
+    parent links; the witness is recomputed from them.
     """
     inst, k = query.instance, query.k
     # init is total: its mask is every field and off-goal bit
     (everything, start), (goal_mask, goal_bits), actions = _packed(inst)
-    per_step = max([1, *_goal_writes(actions, goal_mask, goal_bits)])
-
     guarded = any(pre_mask for pre_mask, _, _, _ in actions)
-    moves = [  # (index, keep, bits, eff_off) when no action has a precondition
-        (index, pre_mask, pre_bits, everything ^ eff_mask, eff_bits, eff_off)
-        if guarded else (index, everything ^ eff_mask, eff_bits, eff_off)
-        for index, (pre_mask, pre_bits, eff_mask, eff_bits) in enumerate(actions)
-        for eff_off in [(eff_bits ^ goal_bits) & goal_mask & eff_mask]
-    ]
+    moves, per_step, clean, spoils = [], 1, 0, {}
+    for index, (pre_mask, pre_bits, eff_mask, eff_bits) in enumerate(actions):
+        eff_off = (eff_bits ^ goal_bits) & goal_mask & eff_mask  # goal bits it sets off
+        fixes = eff_mask & goal_mask & ~eff_off  # goal bits it sets to their goal value
+        per_step = max(per_step, fixes.bit_count())
+        if eff_off:
+            spoils.setdefault(fixes, []).append(eff_off)
+        else:
+            clean |= fixes
+        moves.append(  # (index, keep, bits, eff_off) when no action has a precondition
+            (index, pre_mask, pre_bits, everything ^ eff_mask, eff_bits, eff_off)
+            if guarded else (index, everything ^ eff_mask, eff_bits, eff_off)
+        )
+    # at per_step 1 a fixer sets one goal bit; the dirty bits have no clean fixer
+    dirty = goal_mask & ~clean if per_step == 1 else 0
+    fixers = [(1 << i, spoils.get(1 << i, ())) for i in range(dirty.bit_length())
+              if dirty >> i & 1]
     after: list[list | None] = [None] * len(moves) + [moves]  # moves to try, by generator
 
     parent: dict[int, int | None] = {start: None}
@@ -217,6 +255,9 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Sol
                             and (off & keep_mask | eff_off).bit_count() <= limit):
                         successor = (state & keep_mask) | eff_bits
                         if successor not in parent:
+                            if (dirty and (gap := off & keep_mask | eff_off).bit_count() == limit
+                                    and _stuck(gap, fixers)):
+                                continue  # tight and stuck
                             parent[successor] = state
                             store(successor)
                             note(index)
@@ -225,6 +266,9 @@ def decide_bfs(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Sol
                     if (off & keep_mask | eff_off).bit_count() <= limit:
                         successor = (state & keep_mask) | eff_bits
                         if successor not in parent:
+                            if (dirty and (gap := off & keep_mask | eff_off).bit_count() == limit
+                                    and _stuck(gap, fixers)):
+                                continue  # tight and stuck
                             parent[successor] = state
                             store(successor)
                             note(index)

@@ -132,19 +132,47 @@ def _compiled(query: BoundedQuery):
     return compiled
 
 
+def goal_bound(query: BoundedQuery, stuck: bool = True):
+    """The lower bound of decide_bfs on tuple states: the steps a plan from a
+    state needs at least.  That is its goal variables off their goal value,
+    divided by the most of them one action writes with its goal value,
+    rounded up; with stuck, and when that most is one, plus one if some goal
+    variable off its goal value has no fixer whose other goal writes all land
+    on goal variables already off.  Fixers are read with their preconditions
+    ignored."""
+    inst = query.instance
+    goal = tuple((inst.variable_index[n], v) for n, v in inst.goal.items())
+    per_step = max([1] + [sum(pair in eff for pair in goal) for _, _, eff in _compiled(query)])
+    # by goal variable, the goal variables each of its fixers sets off
+    fixers: dict[int, list[set[int]]] = {i: [] for i, _ in goal}
+    for action in inst.actions:
+        bad = {inst.variable_index[n] for n, v in action.eff.items() if inst.goal.get(n, v) != v}
+        for n, v in action.eff.items():
+            if inst.goal.get(n) == v:
+                fixers[inst.variable_index[n]].append(bad)
+
+    def bound(state) -> int:
+        off = {i for i, v in goal if state[i] != v}
+        fixable = all(any(bad <= off for bad in fixers[i]) for i in off)
+        return -(-len(off) // per_step) + (stuck and per_step == 1 and not fixable)
+
+    return bound
+
+
 def tuple_bfs(
-    query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES, bounded: bool = False
+    query: BoundedQuery,
+    max_states: int = DEFAULT_MAX_STATES,
+    bounded: bool = False,
+    stuck: bool = True,
 ) -> SolveResult:
     """Tuple-state reference for decide_bfs: same search order, same result.
 
-    With bounded, a successor at depth d is not stored when d plus the
-    goal-count bound of decide_bfs exceeds k: its goal variables off their goal
-    value, divided by the most of them one action writes with its goal value,
-    rounded up."""
+    With bounded, a successor at depth d is not stored when d plus its
+    goal_bound exceeds k; stuck=False leaves the bound's stuck test out."""
     inst = query.instance
     actions = _compiled(query)
     goal = tuple((inst.variable_index[n], v) for n, v in inst.goal.items())
-    per_step = max([1] + [sum(pair in eff for pair in goal) for _, _, eff in actions])
+    bound = goal_bound(query, stuck)
     start = tuple(inst.init[v.name] for v in inst.variables)
 
     came_from: dict[tuple[str, ...], tuple[tuple[str, ...], int] | None] = {start: None}
@@ -177,10 +205,8 @@ def tuple_bfs(
             successor = tuple(successor)
             if successor in came_from:
                 continue
-            if bounded:
-                off = sum(successor[i] != v for i, v in goal)
-                if depth + 1 + -(-off // per_step) > query.k:
-                    continue
+            if bounded and depth + 1 + bound(successor) > query.k:
+                continue
             came_from[successor] = (state, action_index)
             queue.append((successor, depth + 1))
     return SolveResult(None, "oracle", explored)

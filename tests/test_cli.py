@@ -514,7 +514,7 @@ class TestGoldenOutput:
 
         answers = {
             "clique-complete": (0, '{"decision": "yes", "dp_table_entries": null, '
-                                '"explored_states": 136, "length": 6, '
+                                '"explored_states": 91, "length": 6, '
                                 '"method": "oracle"}\n'),
             "clique-empty": (1, '{"decision": "no", "dp_table_entries": null, '
                              '"explored_states": null, "length": null, '

@@ -120,13 +120,54 @@ def test_expansion_prunes_by_the_action_that_stored_the_state(monkeypatch, guard
 
 def test_goal_count_bound_prunes_the_clique_gadget():
     # K4 with two vertices per class: the bound keeps the full search's
-    # witness and drops almost two thirds of its states; both counts are
+    # witness and drops seven eighths of its states; both counts are
     # pinned, so the bound cannot stop acting unnoticed
     q = gen_clique_gadget(MulticoloredGraph.complete(4, 2)).query
     full = tuple_bfs(q)
     result = same_as_tuple_bfs(q)
-    assert (result.explored_states, full.explored_states) == (4060, 11617)
+    assert (result.explored_states, full.explored_states) == (1456, 11617)
     assert result.witness == full.witness and len(result.witness) == q.k == 10
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["precondition_free", "guarded"])
+def test_tight_state_whose_off_goal_has_only_dirty_fixers_is_dropped(guarded):
+    # p's one fixer e also raises u.  At depth 1 with one step left, v's
+    # successor p=0 u=0 has one goal variable off, as many as one step can
+    # set, but e would set u off again: no plan finishes from it, so it is
+    # not stored, while e's successor, whose off u has the clean fixer v, is
+    q = make_query(
+        {"p": 2, "u": 2},
+        [("e", {"p": "0"} if guarded else {}, {"p": "1", "u": "1"}), ("v", {}, {"u": "0"})],
+        {"p": "0", "u": "1"},
+        {"p": "1", "u": "0"},
+        2,
+    )
+    result = same_as_tuple_bfs(q)
+    assert result.witness == ("e", "v")
+    assert result.explored_states == 3
+    assert tuple_bfs(q, bounded=True, stuck=False).explored_states == 4
+
+
+def test_tight_state_rule_stays_off_when_one_action_sets_two_goal_fields():
+    # abx sets a and b, so per_step is 2 and the rule is not applied.  The
+    # start's successor by z is tight (four goal fields off, two steps
+    # left), and abx and cx finish from it, so it heads the witness; a rule
+    # that filed abx under its pair of fields would see no fixer of a alone
+    # and drop it
+    q = make_query(
+        dict.fromkeys("abxcz", 2),
+        [
+            ("z", {}, {"z": "1"}),
+            ("abx", {}, {"a": "1", "b": "1", "x": "1"}),
+            ("cx", {}, {"c": "1", "x": "0"}),
+        ],
+        {"a": "0", "b": "0", "x": "1", "c": "0", "z": "0"},
+        {"a": "1", "b": "1", "x": "0", "c": "1", "z": "1"},
+        3,
+    )
+    result = same_as_tuple_bfs(q)
+    assert result.witness == ("z", "abx", "cx")
+    assert result.explored_states == tuple_bfs(q, bounded=True, stuck=False).explored_states == 9
 
 
 def test_goal_count_bound_tests_a_wide_goal_field_under_its_own_mask():

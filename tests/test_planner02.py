@@ -549,7 +549,7 @@ def _answer_digests(family):
             "clique",
             8,
             "b76cfcacd34522691272cd28b8c3d768334506c673b7715535a9fc1ae58447bd",
-            "034d78db662f0e983de8fbd2aa6a9620e1d3db80a54a7d166032252dec5b30ed",
+            "8e9d5dad64201a8d0900b4518f3f7c376ff7f728cc422f380a3dd50181ce5e7b",
         ),
     ],
 )

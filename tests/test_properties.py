@@ -2,18 +2,19 @@
 references.  Examples are derandomized, so every run sees the same ones."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from sasbp.core import Action, BoundedQuery, PartialState, validate_plan  # noqa: E402
 from sasbp.fileformat import FormatError, parse_instance, write_instance  # noqa: E402
 from sasbp import steiner  # noqa: E402
-from sasbp.oracle import _goal_writes, _moves_after, _packed, decide_bfs  # noqa: E402
+from sasbp.oracle import _moves_after, _packed, decide_bfs  # noqa: E402
 from sasbp.planner02 import reduce_to_steiner, solve, solve_02  # noqa: E402
 from sasbp.restrictions import RestrictionProfile, detect_profile  # noqa: E402
 from sasbp.steiner import (  # noqa: E402
@@ -23,6 +24,7 @@ from sasbp.steiner import (  # noqa: E402
     solve_dst,
 )
 from helpers import (  # noqa: E402
+    goal_bound,
     make_query,
     reaches_all,
     reference_layers,
@@ -302,7 +304,11 @@ def test_move_lists_and_goal_counts_match_the_pairwise_references():
             sum(action.eff.get(name) == value for name, value in inst.goal.items())
             for action in inst.actions
         ]
-        assert _goal_writes(actions, goal_mask, goal_bits) == counts
+        fixes = [
+            eff_mask & goal_mask & ~((eff_bits ^ goal_bits) & goal_mask & eff_mask)
+            for _, _, eff_mask, eff_bits in actions
+        ]
+        assert [mask.bit_count() for mask in fixes] == counts
 
         def off(state) -> int:
             return sum(state[name] != value for name, value in inst.goal.items())
@@ -466,6 +472,93 @@ def test_precondition_free_oracle_agrees_with_tuple_reference_at_every_budget():
     # than one bit, and guarded and precondition-free tasks at levels the bound
     # can or cannot bite each turn up in more than a tenth of the examples
     assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), seen
+
+
+@st.composite
+def clique_shaped_task(draw):
+    """A task shaped like the paper's clique gadget, with one to three
+    variables made dirty.  Vertex variables of two or three values want 0,
+    and most have a lowering action; pair variables want 1, and each of
+    their one to three setters also sets one or two vertex variables off 0.
+    No action sets two goal variables, so per_step is 1.  Some tasks give
+    actions a precondition, and some add an action that raises a vertex.
+    The bound k lies near the goal variables off at the start, so that
+    searches meet tight states.  With the task, three total states of it."""
+    vertices = {f"u{i}": draw(st.integers(2, 3)) for i in range(draw(st.integers(1, 4)))}
+    pairs = [f"p{i}" for i in range(draw(st.integers(1, 3)))]
+    size = {**vertices, **dict.fromkeys(pairs, 2)}
+    names = sorted(size)
+    guarded = draw(st.booleans())
+
+    def value(name: str, least: int = 0) -> str:
+        return str(draw(st.integers(least, size[name] - 1)))
+
+    def pre() -> dict:
+        if not guarded or draw(st.booleans()):
+            return {}
+        name = draw(st.sampled_from(names))
+        return {name: value(name)}
+
+    actions = [(f"av.{u}", pre(), {u: "0"}) for u in vertices if draw(st.integers(0, 7))]
+    vertex = st.sampled_from(sorted(vertices))
+    for p in pairs:
+        for j in range(draw(st.integers(1, 3))):
+            raised = draw(st.lists(vertex, min_size=1, max_size=2, unique=True))
+            actions.append((f"ae.{p}.{j}", pre(), {p: "1", **{u: value(u, 1) for u in raised}}))
+    if draw(st.booleans()):
+        u = draw(vertex)
+        actions.append((f"up.{u}", pre(), {u: value(u, 1)}))
+    init = {name: value(name) for name in names}
+    goal = {**dict.fromkeys(vertices, "0"), **dict.fromkeys(pairs, "1")}
+    # a bound near the goal variables off at the start, so tight states occur
+    off = sum(init[name] != want for name, want in goal.items())
+    query = make_query(size, actions, init, goal, max(1, off + draw(st.integers(-1, 3))))
+    states = [tuple(value(v.name) for v in query.instance.variables) for _ in range(3)]
+    return query, states
+
+
+def test_stuck_tight_states_keep_the_bound_consistent_and_the_witness():
+    # the bound with the stuck test, off + stuck at per_step 1, is at most
+    # the steps a plan needs from each drawn state and falls by at most one
+    # per applicable action; the oracle keeps every result of the bounded
+    # tuple search and the witness of the unbounded one
+    seen = []
+
+    @seed(20261020)
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(clique_shaped_task())
+    def check(task):
+        query, states = task
+        inst = query.instance
+        assert all(sum(a.eff.get(n) == v for n, v in inst.goal.items()) <= 1 for a in inst.actions)
+        bound, plain = goal_bound(query), goal_bound(query, stuck=False)
+        result = same_as_tuple_bfs(query)
+        far = math.prod(len(v.domain) for v in inst.variables)  # no shortest plan is longer
+        for state in states:
+            start = replace(inst, init=PartialState(zip(inst.variable_index, state)))
+            steps = tuple_bfs(BoundedQuery(start, far)).plan_length
+            assert steps is None or bound(state) <= steps, (state, steps)
+            for action in inst.actions:
+                if all(state[inst.variable_index[n]] == v for n, v in action.pre.items()):
+                    after = list(state)
+                    for n, v in action.eff.items():
+                        after[inst.variable_index[n]] = v
+                    assert bound(state) <= bound(tuple(after)) + 1, (state, action.name)
+        seen.append((
+            result.decision,
+            not result.decision,
+            any(a.pre for a in inst.actions),
+            any(bound(state) > plain(state) for state in states),
+            tuple_bfs(query, bounded=True, stuck=False).explored_states > result.explored_states,
+        ))
+
+    check()
+    # YES, NO, a precondition, a drawn state the stuck test raises the bound
+    # on and a search the stuck test drops states from each turn up in more
+    # than a tenth of the examples
+    assert all(sum(column) > len(seen) // 10 for column in zip(*seen)), [
+        sum(column) for column in zip(*seen)
+    ]
 
 
 @st.composite
