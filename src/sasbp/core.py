@@ -20,15 +20,14 @@ class PartialState(dict):
 
     Variables not present in the mapping are undefined.  Indexing with an
     undefined variable raises KeyError; use .get() to obtain None for
-    undefined entries.  Lookups and views are the dict's own; every mutator
-    raises TypeError, so a state can be hashed and shared.  Equality holds
-    with any mapping of the same entries.
+    undefined entries.  Lookups, views and equality are the dict's own, so a
+    state equals any mapping of the same entries; every mutator raises
+    TypeError, so a state can be hashed and shared.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __init__(self, assignment: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
-        self._hash = None
         if assignment:
             dict.update(self, assignment)  # the dict's own; this class's raises
             for name, value in self.items():
@@ -40,7 +39,6 @@ class PartialState(dict):
         """A state built without the string check, for the parser's strings."""
         state = dict.__new__(cls)
         dict.update(state, assignment)
-        state._hash = None
         return state
 
     def _read_only(self, *args, **kwargs):
@@ -52,17 +50,8 @@ class PartialState(dict):
         # copy and pickle would otherwise refill the copy through __setitem__
         return PartialState, (dict(self),)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, dict):
-            return dict.__eq__(self, other)
-        if isinstance(other, Mapping):
-            return dict.__eq__(self, dict(other))
-        return NotImplemented
-
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.items()))
-        return self._hash
+        return hash(frozenset(self.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={v}" for n, v in self.items())
@@ -70,6 +59,9 @@ class PartialState(dict):
 
 
 EMPTY_STATE = PartialState()
+
+# Starts the names of generated machinery: chain parts, Steiner root and pair nodes.
+RESERVED_PREFIX = "__"
 
 
 class ResourceLimitError(RuntimeError):

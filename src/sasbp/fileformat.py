@@ -38,11 +38,12 @@ import re
 from collections.abc import Sequence
 from itertools import chain
 
-from .core import EMPTY_STATE, Action, BoundedQuery, PartialState, PlanningInstance, Variable
+from .core import (
+    EMPTY_STATE, RESERVED_PREFIX, Action, BoundedQuery, PartialState, PlanningInstance, Variable
+)
 from .steiner import SteinerInstance
 
 HEADER = "SASBP 1"
-RESERVED_PREFIX = "__"
 # Integers as str(int) writes them: ASCII digits, no leading zeros, no "-0".
 INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 NATURAL = re.compile(r"0|[1-9][0-9]*")

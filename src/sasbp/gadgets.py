@@ -201,9 +201,11 @@ def gen_clique_gadget(graph: MulticoloredGraph) -> GadgetOutput:
     bound = k * (k - 1) // 2 + k
     query = BoundedQuery(inst, bound)
 
+    # A pick runs in class order, so its pairs are oriented as the edges are.
+    edges = set(graph.edges)
     clique = None
     for pick in itertools.product(*graph.classes):
-        if all(graph.has_edge(a, b) for a, b in itertools.combinations(pick, 2)):
+        if all(pair in edges for pair in itertools.combinations(pick, 2)):
             clique = pick
             break
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .core import Action, BoundedQuery, PartialState, PlanningInstance, Variable
+from .core import RESERVED_PREFIX, Action, BoundedQuery, PartialState, PlanningInstance, Variable
 from .planner02 import pick_method
 from .restrictions import split_effects
 
@@ -77,7 +77,7 @@ def lemma1_transform(query: BoundedQuery) -> Lemma1Output:
         )
     for kind, items in (("variable", inst.variables), ("action", inst.actions)):
         for item in items:
-            if item.name.startswith("__"):
+            if item.name.startswith(RESERVED_PREFIX):
                 raise ValueError(f"{kind} {item.name!r} uses the reserved __ prefix")
 
     kept, bad_only, effect_free = [], [], []

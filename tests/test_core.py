@@ -1,6 +1,7 @@
 import copy
 import operator
 import pickle
+from collections import UserDict
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -45,6 +46,10 @@ def test_partial_state_equality_and_hash():
     assert hash(s) == hash(frozenset({"a": "1", "b": "0"}.items()))
     assert s == MappingProxyType({"a": "1", "b": "0"}) and s != {"a": "1"}
     assert s != ("a", "b") and len({s, t, PartialState({"a": "1"})}) == 2
+    for other in (UserDict, MappingProxyType):
+        same, fewer = other({"a": "1", "b": "0"}), other({"a": "1"})
+        assert s == same and same == s and not s != same and not same != s
+        assert s != fewer and fewer != s and not s == fewer and not fewer == s
 
 
 def test_partial_state_answers_like_a_dict():
@@ -81,7 +86,10 @@ def test_partial_state_views_cannot_mutate_it():
 def test_partial_state_lookups_skip_the_mapping_mixins():
     # The Mapping mixins fetch each entry through __getitem__ in Python; the
     # model layer's hot loops rely on these being the dict's own.
-    lookups = ("__getitem__", "__iter__", "__len__", "__contains__", "get", "keys", "items", "values")
+    lookups = (
+        "__getitem__", "__iter__", "__len__", "__contains__", "get", "keys", "items", "values",
+        "__eq__", "__ne__",
+    )
     for method in lookups:
         assert getattr(PartialState, method) is getattr(dict, method), method
 

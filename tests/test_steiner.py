@@ -286,6 +286,13 @@ def test_forced_arcs_alone_can_make_the_tree():
     assert stats == {"forced": 2, "terminals": 0, "merged": 0}
 
 
+def test_tree_names_a_terminal_the_arcs_miss():
+    # the diamond's arcs without b -> t2 still span t1 but leave t2 cut off
+    d = diamond()
+    with pytest.raises(ValueError, match="terminal 't2' is not reachable in the solution"):
+        steiner._tree(d, [("s", "b"), ("b", "t1")])
+
+
 def test_sinks_on_one_single_parent_are_forced_not_merged():
     # t1 and t2 have the same one-arc in-list (a, 1): the degree test forces
     # both arcs, and no twin class forms
