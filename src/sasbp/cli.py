@@ -39,7 +39,7 @@ from .gadgets import (
     or_input_02,
     or_input_pub,
 )
-from .planner02 import METHODS, reduce_to_steiner, solve
+from .planner02 import reduce_to_steiner, solve
 from .preprocess import lemma1_transform
 from .restrictions import detect_profile, lookup_pe, lookup_pubs
 from .steiner import solve_dst
@@ -86,8 +86,10 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     query = _read_query(args)
-    result = solve(query, args.method, max_states=args.max_states)
+    result = solve(query, max_states=args.max_states)
     decision = result.decision
+    if decision and args.plan_out:
+        Path(args.plan_out).write_text(write_plan(result.witness))
     if args.json:
         payload = {
             "decision": "yes" if decision else "no",
@@ -102,9 +104,7 @@ def cmd_solve(args) -> int:
         if decision:
             print(f"plan length: {result.plan_length}")
         print(f"method: {result.method}")
-    if decision and args.plan_out:
-        Path(args.plan_out).write_text(write_plan(result.witness))
-        if not args.json:
+        if decision and args.plan_out:
             print(f"plan written to {args.plan_out}")
     return EXIT_YES if decision else EXIT_NO
 
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide bounded plan existence")
     add_instance_arg(p)
-    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--plan-out", help="write the witness plan here on YES")
     p.add_argument("--max-states", type=_state_budget, default=DEFAULT_MAX_STATES, help=budget)
     p.add_argument("--json", action="store_true")

@@ -71,8 +71,8 @@ class ResourceLimitError(RuntimeError):
 
 # The one work budget of every solver: states for the search oracle, table rows
 # plus candidate splits for the Steiner subset table.  A stored state of a
-# 115-variable task costs ~116 bytes, 240 MB at the budget, which a forced search
-# of compose-02 k=3 t=2 reaches in about 2.4 s; a subset table too large for it
+# 115-variable task costs ~116 bytes, 240 MB at the budget, which decide_bfs on
+# compose-02 k=3 t=2 reaches in about 2.4 s; a subset table too large for it
 # gives up in 0.3-0.55 s (2 vCPUs, Python 3.11).
 DEFAULT_MAX_STATES = 2_000_000
 

@@ -48,7 +48,6 @@ from .steiner import SteinerInstance, SteinerSolution, extract_arborescence, sol
 
 ROOT = "__root"
 PAIR = "__pair"
-METHODS = ("auto", "oracle", "fpt02")
 
 
 @dataclass(frozen=True)
@@ -201,21 +200,15 @@ def solve_02(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> Solve
     return SolveResult(witness, "fpt02", dp_table_entries=entries)
 
 
-def solve(
-    query: BoundedQuery, method: str = "auto", max_states: int = DEFAULT_MAX_STATES
-) -> SolveResult:
-    """Decide bounded plan existence for any task with the named method.
+def solve(query: BoundedQuery, max_states: int = DEFAULT_MAX_STATES) -> SolveResult:
+    """Decide bounded plan existence for any task with pick_method's solver.
 
-    "auto" takes pick_method's choice; "fpt02" runs solve_02 and raises
-    ValueError outside its fragment; "oracle" runs the breadth-first search.
-    max_states bounds both: the search's expanded and stored states, and the
-    Steiner subset table's rows and candidate splits.  Both raise
-    ResourceLimitError when it is passed.
+    A (0, <=2) task goes to solve_02, every other task to decide_bfs; a
+    caller that wants one of them on its own calls it directly.  max_states
+    bounds both: the search's expanded and stored states, and the Steiner
+    subset table's rows and candidate splits.  Both raise ResourceLimitError
+    when it is passed.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-    if method == "auto":
-        method = pick_method(query.instance)
-    if method == "fpt02":
+    if pick_method(query.instance) == "fpt02":
         return solve_02(query, max_states)
     return decide_bfs(query, max_states=max_states)

@@ -124,6 +124,13 @@ class TestSolve:
         assert code == 0
         assert out == "plan is valid (2 steps, bound 3)\n"
 
+    def test_unwritable_plan_out_prints_no_verdict(self, capsys, tmp_path, trade_file):
+        plan_path = tmp_path / "missing" / "trade.plan"
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "solve", trade_file, "--plan-out", str(plan_path), *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and str(plan_path) in err
+
     def test_no_exits_one(self, capsys, tmp_path):
         path = tmp_path / "no.sasbp"
         path.write_text(TRADE.replace("k 3", "k 1"))
@@ -153,13 +160,6 @@ class TestSolve:
         assert payload["length"] == 2
         assert payload["explored_states"] >= 3
 
-    def test_forcing_fpt02_on_preconditions_is_a_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "gated.sasbp"
-        path.write_text(GATED)
-        code, _, err = run(capsys, "solve", str(path), "--method", "fpt02")
-        assert code == 2
-        assert "error:" in err and "precondition" in err
-
     def test_state_budget_exhaustion_exits_three(self, capsys, tmp_path):
         path = tmp_path / "gated.sasbp"
         path.write_text(GATED)
@@ -177,10 +177,9 @@ class TestSolve:
             "resource limit: work budget of 2000000 exhausted:"
             " 19 terminals remain after presolve and merge"
         )
-        for argv in (("solve", str(path)), ("solve", str(path), "--method", "fpt02")):
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (3, "")
-            assert message in err
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (3, "")
+        assert message in err
         assert run(capsys, "to-steiner", str(path), "--out", str(steiner))[0] == 0
         code, out, err = run(capsys, "steiner", "solve", str(steiner))
         assert (code, out) == (3, "")
@@ -193,10 +192,9 @@ class TestSolve:
         path.write_text(write_instance(chain_query(4)))
         assert run(capsys, "solve", str(path))[0] == 0
         assert run(capsys, "solve", str(path), "--max-states", "65")[0] == 0
-        for method in ("auto", "fpt02"):
-            code, out, err = run(capsys, "solve", str(path), "--method", method, "--max-states", "64")
-            assert (code, out) == (3, "")
-            assert "resource limit: work budget of 64 exhausted: 4 terminals" in err
+        code, out, err = run(capsys, "solve", str(path), "--max-states", "64")
+        assert (code, out) == (3, "")
+        assert "resource limit: work budget of 64 exhausted: 4 terminals" in err
 
     def test_repeated_runs_are_byte_identical(self, capsys, trade_file):
         first = run(capsys, "solve", trade_file, "--json")
@@ -460,17 +458,8 @@ class TestGoldenOutput:
                 '"length": 2, "method": "oracle"}\n',
                 "open\nset_x\n",
             ),
-            (
-                TRADE,
-                ("--method", "oracle"),
-                0,
-                "YES\nplan length: 2\nmethod: oracle\n",
-                '{"decision": "yes", "dp_table_entries": null, "explored_states": 4, '
-                '"length": 2, "method": "oracle"}\n',
-                "trade\nfix_a\n",
-            ),
         ],
-        ids=["fpt02-yes", "instant-no", "oracle-yes", "forced-oracle"],
+        ids=["fpt02-yes", "instant-no", "oracle-yes"],
     )
     def test_solve(self, capsys, tmp_path, text, extra, code, human, payload, plan):
         path = tmp_path / "task.sasbp"

@@ -116,7 +116,7 @@ def test_guarded_task_is_refused_before_the_empty_plan():
         1,
     )
     with pytest.raises(ValueError, match="requires actions without preconditions"):
-        solve(q, method="fpt02")
+        solve_02(q)
     assert solve(q).witness == () and solve(q).method == "oracle"
 
 
@@ -399,9 +399,7 @@ def test_both_solvers_return_one_result_type():
     guarded, fragment = gated_task(2), chained_query(2)
     results = [solve_02(fragment)]
     for query in (guarded, fragment):
-        oracle = decide_bfs(query)
-        assert solve(query, method="oracle") == oracle
-        results += [oracle, solve(query)]
+        results += [decide_bfs(query), solve(query)]
     assert {type(result) for result in results} == {SolveResult}
 
 
@@ -412,7 +410,8 @@ def test_solve_matches_solve_02_and_decide_bfs():
         query = random_02_query(rng)
         result = solve(query)
         assert result == solve_02(query) and result.method == "fpt02"
-        assert_is_oracle_result(solve(query, "oracle"), query)
+        oracle = decide_bfs(query)
+        assert oracle.method == "oracle" and oracle.decision == result.decision
         yes += result.decision
     assert 50 < yes < 150
     yes = 0
@@ -420,7 +419,7 @@ def test_solve_matches_solve_02_and_decide_bfs():
         query = gated_query(rng)
         assert_is_oracle_result(solve(query), query)
         with pytest.raises(ValueError, match="without preconditions|two effects"):
-            solve(query, "fpt02")
+            solve_02(query)
         yes += solve(query).decision
     assert 20 < yes < 80
 
@@ -439,22 +438,22 @@ def test_pick_method_routes_by_the_fragment_rule():
 
 
 def test_oracle_method_searches_a_02_task():
-    query = chained_query(2)
-    assert pick_method(query.instance) == "fpt02"
-    result = solve(query, method="oracle")
-    assert_is_oracle_result(result, query)
-    assert result.witness == ("ab", "c1")
-
-
-def test_unknown_method_is_rejected():
-    with pytest.raises(ValueError, match="unknown method 'steiner'"):
-        solve(chained_query(2), method="steiner")
+    # the oracle alone, on (0, <=2) tasks that solve routes to fpt02
+    trade = make_query(
+        {"a": 2, "b": 2},
+        [("fix_a", {}, {"a": "1"}), ("trade", {}, {"b": "1", "a": "0"})],
+        {"a": "0", "b": "0"},
+        {"a": "1", "b": "1"},
+        3,
+    )
+    for query, witness in ((chained_query(2), ("ab", "c1")), (trade, ("trade", "fix_a"))):
+        assert pick_method(query.instance) == "fpt02"
+        assert decide_bfs(query) == SolveResult(witness, "oracle", explored_states=4)
 
 
 def test_resource_limit_propagates_from_solve():
-    for query, method in ((gated_task(2), "auto"), (chained_query(2), "oracle")):
-        with pytest.raises(ResourceLimitError, match="state budget of 1 exhausted"):
-            solve(query, method, max_states=1)
+    with pytest.raises(ResourceLimitError, match="state budget of 1 exhausted"):
+        solve(gated_task(2), max_states=1)
 
 
 def test_work_budget_bounds_the_steiner_table():
@@ -462,14 +461,12 @@ def test_work_budget_bounds_the_steiner_table():
     query = chain_query(4)
     answer = solve(query)
     assert answer.decision and answer.method == "fpt02"
-    for method in ("auto", "fpt02"):
+    for run in (solve, solve_02):
         with pytest.raises(ResourceLimitError, match="work budget of 14 exhausted: 4 terminals"):
-            solve(query, method, max_states=14)
-        with pytest.raises(ResourceLimitError, match="at least 65 rows and candidate splits"):
-            solve(query, method, max_states=64)
-        assert solve(query, method, max_states=65) == answer
-    with pytest.raises(ResourceLimitError, match="work budget of 64 exhausted"):
-        solve_02(query, max_states=64)
+            run(query, max_states=14)
+        with pytest.raises(ResourceLimitError, match="work budget of 64 exhausted.* at least 65 rows"):
+            run(query, max_states=64)
+        assert run(query, max_states=65) == answer
 
 
 def _pinned_tasks(family):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -291,6 +292,23 @@ def test_tree_names_a_terminal_the_arcs_miss():
     d = diamond()
     with pytest.raises(ValueError, match="terminal 't2' is not reachable in the solution"):
         steiner._tree(d, [("s", "b"), ("b", "t1")])
+
+
+def test_tree_that_outweighs_the_table_is_an_error(monkeypatch):
+    # the diamond's table settles t1 and b at 2 after forcing b -> t2; a
+    # rebuilt tree one heavier than that trips the postcondition
+    tree = steiner._tree
+
+    def heavier(inst, arcs):
+        solution = tree(inst, arcs)
+        return dataclasses.replace(solution, total_weight=solution.total_weight + 1)
+
+    monkeypatch.setattr(steiner, "_tree", heavier)
+    with pytest.raises(
+        RuntimeError,
+        match="reconstructed tree weighs 4, the table optimum 2 plus the forced weight 1 is 3",
+    ):
+        solve_dst(diamond())
 
 
 def test_sinks_on_one_single_parent_are_forced_not_merged():
