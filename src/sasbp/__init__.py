@@ -18,9 +18,6 @@ from .core import (
     SolveResult,
     ValidationReport,
     Variable,
-    apply_action,
-    is_goal_state,
-    is_valid_in,
     validate_plan,
 )
 from .fileformat import (
@@ -87,7 +84,6 @@ __all__ = [
     "SteinerSolution",
     "ValidationReport",
     "Variable",
-    "apply_action",
     "broken_variables",
     "brute_dst",
     "chain_bound",
@@ -99,8 +95,6 @@ __all__ = [
     "extract_plan",
     "gen_clique_gadget",
     "gen_or_tree",
-    "is_goal_state",
-    "is_valid_in",
     "lemma1_transform",
     "lift_plan",
     "lookup_pe",

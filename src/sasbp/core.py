@@ -163,9 +163,6 @@ class PlanningInstance:
     def action_by_name(self) -> dict[str, Action]:
         return {a.name: a for a in self.actions}
 
-    def is_total(self, state: PartialState) -> bool:
-        return all(v.name in state for v in self.variables)
-
 
 @dataclass(frozen=True)
 class BoundedQuery:
@@ -221,34 +218,6 @@ class ValidationReport:
     valid: bool
     failed_step: int | None = None
     reason: str | None = None
-
-
-def is_valid_in(inst: PlanningInstance, action: Action, state: PartialState) -> bool:
-    """True when every defined precondition entry agrees with the total state."""
-    if not inst.is_total(state):
-        raise ValueError("state is not total")
-    return all(state[name] == value for name, value in action.pre.items())
-
-
-def apply_action(inst: PlanningInstance, action: Action, state: PartialState) -> PartialState:
-    """Successor state: effect entries override, everything else persists."""
-    if not is_valid_in(inst, action, state):
-        for name, value in action.pre.items():
-            if state[name] != value:
-                raise ValueError(
-                    f"action {action.name!r} is not valid here: requires "
-                    f"{name}={value}, state has {name}={state[name]}"
-                )
-    merged = dict(state)
-    merged.update(action.eff)
-    return PartialState(merged)
-
-
-def is_goal_state(inst: PlanningInstance, state: PartialState) -> bool:
-    """True when the total state agrees with every defined goal entry."""
-    if not inst.is_total(state):
-        raise ValueError("state is not total")
-    return all(state[name] == value for name, value in inst.goal.items())
 
 
 def validate_plan(inst: PlanningInstance, plan: Sequence[str]) -> ValidationReport:

@@ -113,9 +113,6 @@ class MulticoloredGraph:
     def vertex_class(self) -> dict[str, int]:
         return {name: ci for ci, cls in enumerate(self.classes) for name in cls}
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
-
     @classmethod
     def empty(cls, num_classes: int, per_class: int) -> "MulticoloredGraph":
         if per_class < 1:
@@ -407,8 +404,8 @@ def compose_or_pub(inputs) -> GadgetOutput:
     inputs = tuple(inputs)
     t = len(inputs)
     k = _shared_bound(inputs)
-    limit = or_threshold(k)
-    if t > limit:
+    # or_threshold(k) >= 2 ** ((k + 2) ** 2 + 1), so a shorter t is under it
+    if t.bit_length() > (k + 2) ** 2 + 1 and t > (limit := or_threshold(k)):
         raise ValueError(f"at most {limit} inputs supported at bound {k}, got {t}")
     for idx, g in enumerate(inputs, 1):
         profile = detect_profile(g.query.instance)
@@ -449,7 +446,7 @@ def compose_or_pub(inputs) -> GadgetOutput:
         goal=PartialState({out: "1"}),
     )
     query = BoundedQuery(inst, bound)
-    notes = {"t": t, "input_bound": k, "tree_depth": depth, "threshold": limit}
+    notes = {"t": t, "input_bound": k, "tree_depth": depth}
 
     fits = []
     for i, g in enumerate(inputs, 1):

@@ -12,9 +12,6 @@ from sasbp.core import (
     SolveResult,
     ValidationReport,
     Variable,
-    apply_action,
-    is_goal_state,
-    is_valid_in,
 )
 from sasbp.fileformat import HEADER, INTEGER, RESERVED_PREFIX, FormatError
 from sasbp.oracle import DEFAULT_MAX_STATES, ResourceLimitError, decide_bfs
@@ -620,30 +617,33 @@ def reference_parse_instance(text: str, allow_reserved: bool = False) -> Bounded
         raise FormatError(str(exc)) from None
 
 
-# The step-by-step validator that sasbp.core.validate_plan replaced: every
-# step goes through the public apply_action, is_valid_in and is_goal_state,
-# each of which re-checks that the state is total.  Kept as a reference for
-# its reports field for field.
+# The step-by-step validator that sasbp.core.validate_plan replaced: each
+# step builds a new immutable PartialState and asserts that it is still
+# total.  It reads only the model types, so it stays independent of
+# validate_plan, and is kept as a reference for its reports field for field.
 
 
 def reference_validate_plan(inst: PlanningInstance, plan) -> ValidationReport:
     """Step-by-step reference for validate_plan: the same report."""
+    names = {v.name for v in inst.variables}
     state = inst.init
     for step, name in enumerate(plan):
+        assert state.keys() == names, "state is not total"
         action = inst.action_by_name.get(name)
         if action is None:
             return ValidationReport(False, step, f"unknown action {name!r}")
-        if not is_valid_in(inst, action, state):
-            bad = next(n for n, v in action.pre.items() if state[n] != v)
+        bad = next((n for n, v in action.pre.items() if state[n] != v), None)
+        if bad is not None:
             return ValidationReport(
                 False,
                 step,
                 f"precondition violation: {name!r} requires {bad}="
                 f"{action.pre[bad]}, state has {bad}={state[bad]}",
             )
-        state = apply_action(inst, action, state)
-    if not is_goal_state(inst, state):
-        miss = next(n for n, v in inst.goal.items() if state[n] != v)
+        state = PartialState({**state, **action.eff})
+    assert state.keys() == names, "state is not total"
+    miss = next((n for n, v in inst.goal.items() if state[n] != v), None)
+    if miss is not None:
         return ValidationReport(
             False,
             None,

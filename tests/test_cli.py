@@ -399,6 +399,27 @@ class TestGenerate:
         assert code == 0 and "answer: yes" in out
         assert "note chosen_input 3\n" in (tmp_path / "pub.truth").read_text()
 
+    def test_compose_pub_at_a_bound_whose_input_limit_has_over_4300_digits(
+        self, capsys, tmp_path
+    ):
+        base = tmp_path / "wide"
+        argv = ("--k", "46", "--t", "2", "--out", str(base))
+        code, out, err = run(capsys, "generate", "compose-pub", *argv)
+        assert (code, err) == (0, "")
+        assert "answer: yes" in out
+        truth = (tmp_path / "wide.truth").read_text()
+        assert truth.splitlines() == [
+            "answer yes",
+            "note chosen_input 1",
+            "note input_bound 46",
+            "note t 2",
+            "note tree_depth 1",
+        ]
+        code, _, _ = run(
+            capsys, "validate", str(tmp_path / "wide.sasbp"), str(tmp_path / "wide.plan")
+        )
+        assert code == 0
+
     @pytest.mark.parametrize(
         "argv,needle",
         [

@@ -15,9 +15,6 @@ from sasbp.core import (
     PlanningInstance,
     ValidationReport,
     Variable,
-    apply_action,
-    is_goal_state,
-    is_valid_in,
     validate_plan,
 )
 from helpers import chain_query, make_query
@@ -249,30 +246,6 @@ def test_instance_check_reaches_the_last_action():
     assert str(info.value) == "eff of 'third' references unknown variable 'zz'"
 
 
-def test_apply_and_validity():
-    q = make_query(
-        {"a": 2, "b": 2},
-        [("flip", {"b": "0"}, {"a": "1"})],
-        {"a": "0", "b": "0"},
-        {"a": "1"},
-        1,
-    )
-    inst = q.instance
-    flip = inst.action_by_name["flip"]
-    assert is_valid_in(inst, flip, inst.init)
-    after = apply_action(inst, flip, inst.init)
-    assert after == {"a": "1", "b": "0"}
-    assert is_goal_state(inst, after)
-    blocked = PartialState({"a": "0", "b": "1"})
-    assert not is_valid_in(inst, flip, blocked)
-    with pytest.raises(ValueError, match="requires b=0"):
-        apply_action(inst, flip, blocked)
-    with pytest.raises(ValueError, match="not total"):
-        is_valid_in(inst, flip, EMPTY_STATE)
-    with pytest.raises(ValueError, match="not total"):
-        is_goal_state(inst, PartialState({"a": "1"}))
-
-
 def test_validate_plan_success_report():
     q = make_query(
         {"a": 2, "b": 2},
@@ -296,7 +269,7 @@ def test_validate_plan_builds_no_partial_states(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(PartialState, "__init__", counting)
-    apply_action(inst, inst.action_by_name["g1"], inst.init)
+    PartialState(inst.init)
     assert len(built) == 1  # the counter sees a state being built
     built.clear()
     plan = ["m1", "m2", "m3", "g1", "g2", "g3", "g4"]

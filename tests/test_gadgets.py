@@ -67,7 +67,6 @@ class TestMulticoloredGraph:
         )
         # oriented low class first, deduplicated, declaration order
         assert g.edges == (("a1", "b1"), ("a2", "b1"))
-        assert g.has_edge("b1", "a1") and not g.has_edge("a1", "a2")
         assert g.vertex_class == {"a1": 0, "a2": 0, "b1": 1}
 
     def test_rejects_bad_vertices_and_edges(self):
@@ -238,8 +237,7 @@ class TestComposeOrPub:
         )
         with pytest.raises(ValueError, match="at most 64"):
             compose_or_pub([trivial] * 65)
-        out = compose_or_pub([trivial] * 64)
-        assert out.notes["threshold"] == 64
+        compose_or_pub([trivial] * 64)
 
     def test_yes_composition_checked_against_oracle(self):
         out = compose_or_pub([pub_yes(), pub_no(), pub_no()])
@@ -248,7 +246,6 @@ class TestComposeOrPub:
             "t": 3,
             "input_bound": 2,
             "tree_depth": 2,
-            "threshold": or_threshold(2),
             "chosen_input": 1,
         }
         assert out.query.k == 2 + 12
@@ -473,7 +470,7 @@ def _golden_digest(family):
         (
             "compose-pub",
             180,
-            "eee8121b2b7b9e01edf8dd84aa5bdbd6a04a4310b4a81b1768bd56ed4f1acab0",
+            "9f0e2df0f06867d348b2b17b02cb0adbb8287795e9eb70643db517e57b8aee20",
         ),
         (
             "compose-02",

@@ -1,5 +1,8 @@
 """Property tests: generated instances checked against the brute-force
-references.  Examples are derandomized, so every run sees the same ones."""
+references.  Examples are derandomized, so every run sees the same ones.
+derandomize=True seeds each property from the source of its inner check
+function, so an edit to a check body redraws its examples and can move the
+coverage floors that each test asserts on what check saw."""
 
 import itertools
 import math
