@@ -64,7 +64,7 @@ def main():
         hand = base / "trade.sasbp"
         hand.write_text(HAND)
 
-        run("generate", "clique", "--complete", "--out", str(base / "cq"))
+        run("generate", "clique", "--edge-prob", "1", "--out", str(base / "cq"))
         run("classify", str(base / "cq.sasbp"))
         run("validate", str(base / "cq.sasbp"), str(base / "cq.plan"))
 

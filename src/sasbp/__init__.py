@@ -60,7 +60,7 @@ from .restrictions import (
     lookup_pubs,
     split_effects,
 )
-from .steiner import SteinerInstance, SteinerSolution, brute_dst, extract_arborescence, solve_dst
+from .steiner import SteinerInstance, SteinerSolution, brute_dst, solve_dst
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "compose_or_pub",
     "decide_bfs",
     "detect_profile",
-    "extract_arborescence",
     "extract_plan",
     "gen_clique_gadget",
     "gen_or_tree",

@@ -7,6 +7,7 @@ solve, generate.  Exit codes are uniform across subcommands:
     1   NO / invalid plan / no tree within the bound
     2   usage, format or I/O problem
     3   resource limit hit before a decision
+    4   internal error, such as a failed postcondition; traceback on stderr
 
 All output is deterministic for a given input, so repeated runs are byte
 identical and safe to diff.
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .core import DEFAULT_MAX_STATES, BoundedQuery, ResourceLimitError, validate_plan
@@ -48,6 +50,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _read_query(args) -> BoundedQuery:
@@ -180,14 +183,7 @@ def _parse_pattern(args) -> list[bool]:
 
 def cmd_generate(args) -> int:
     if args.kind == "clique":
-        if args.complete:
-            graph = MulticoloredGraph.complete(args.classes, args.per_class)
-        elif args.empty:
-            graph = MulticoloredGraph.empty(args.classes, args.per_class)
-        else:
-            graph = MulticoloredGraph.random(
-                args.classes, args.per_class, args.edge_prob, args.seed
-            )
+        graph = MulticoloredGraph.random(args.classes, args.per_class, args.edge_prob, args.seed)
         output = gen_clique_gadget(graph)
     elif args.kind == "ortree":
         bits = args.bits
@@ -289,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--per-class", type=int, default=2)
     pg.add_argument("--edge-prob", type=float, default=0.5)
     pg.add_argument("--seed", type=int, default=0)
-    style = pg.add_mutually_exclusive_group()
-    style.add_argument("--complete", action="store_true")
-    style.add_argument("--empty", action="store_true")
 
     pg = gen_sub.add_parser("ortree", help="balanced OR tree over input bits")
     pg.add_argument("--bits", default="0010", help="input bits, e.g. 0010")
@@ -324,6 +317,9 @@ def main(argv=None) -> int:
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -198,19 +198,25 @@ def gen_clique_gadget(graph: MulticoloredGraph) -> GadgetOutput:
     bound = k * (k - 1) // 2 + k
     query = BoundedQuery(inst, bound)
 
-    # A pick runs in class order, so its pairs are oriented as the edges are.
+    # Depth first over the classes in order, the way the edges are oriented.
     edges = set(graph.edges)
-    clique = None
-    for pick in itertools.product(*graph.classes):
-        if all(pair in edges for pair in itertools.combinations(pick, 2)):
-            clique = pick
-            break
+    pick: list[str] = []
+    untried = [iter(graph.classes[0])]
+    while untried:
+        v = next(untried[-1], None)
+        if v is None:
+            untried.pop()
+            del pick[-1:]
+        elif all((u, v) in edges for u in pick):
+            pick.append(v)
+            if len(pick) == k:
+                break
+            untried.append(iter(graph.classes[len(pick)]))
+    clique = tuple(pick) if pick else None
 
     if clique is None:
         return GadgetOutput(query, NO, notes={"classes": k})
-    witness = [
-        f"ae.{clique[i]}.{clique[j]}" for i, j in itertools.combinations(range(k), 2)
-    ]
+    witness = [f"ae.{u}.{v}" for u, v in itertools.combinations(clique, 2)]
     witness.extend(f"av.{name}" for name in clique)
     return GadgetOutput(
         query, YES, witness=tuple(witness), notes={"classes": k, "clique": clique}

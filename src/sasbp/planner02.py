@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from .core import DEFAULT_MAX_STATES, BoundedQuery, PlanningInstance, SolveResult, validate_plan
 from .oracle import decide_bfs
 from .restrictions import broken_variables, split_effects
-from .steiner import SteinerInstance, SteinerSolution, extract_arborescence, solve_dst
+from .steiner import SteinerInstance, SteinerSolution, solve_dst
 
 ROOT = "__root"
 PAIR = "__pair"
@@ -148,19 +148,17 @@ def extract_plan(
 ) -> tuple[str, ...]:
     """Turn a Steiner solution into a plan for the reduced instance.
 
-    Layers are emitted deepest first so each arc's repair happens after the
-    damage below it, and the root layer of good actions closes the plan.
-    Within a layer, arcs keep node declaration order; each arc contributes
+    Arcs go deepest tail first so each arc's repair happens after the
+    damage below it, and the root's arcs of good actions close the plan.
+    At one depth, arcs keep node declaration order; each arc contributes
     its first declared origin action, but a pair node's fan-out nothing.
     """
     for arc in solution.arcs:
         if arc not in artifacts.arc_origin:
             raise ValueError(f"arc {arc!r} has no origin action in these artifacts")
+    by_depth = sorted(zip(solution.depths, solution.arcs), key=lambda pair: -pair[0])
     return tuple(
-        artifacts.arc_origin[arc][0]
-        for layer in reversed(extract_arborescence(solution))
-        for arc in layer
-        if not arc[0].startswith(PAIR)
+        artifacts.arc_origin[arc][0] for _, arc in by_depth if not arc[0].startswith(PAIR)
     )
 
 

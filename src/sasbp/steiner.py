@@ -369,15 +369,3 @@ def _reaches_all(inst: SteinerInstance, arcs) -> bool:
                 seen.add(child)
                 stack.append(child)
     return all(t in seen for t in inst.terminals)
-
-
-def extract_arborescence(solution: SteinerSolution) -> list[list[tuple[str, str]]]:
-    """Group a solution's arcs into layers by the depth of the arc tail.
-
-    Layer 0 holds the arcs leaving the root, layer i the arcs whose tail
-    sits at tree depth i, in the solution's order.  No layer is left empty:
-    every tail below the root has its own in-arc."""
-    layers: list = [[] for _ in range(max(solution.depths, default=-1) + 1)]
-    for arc, depth in zip(solution.arcs, solution.depths):
-        layers[depth].append(arc)
-    return layers

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import itertools
 import random
 from collections import deque
 
@@ -14,6 +15,7 @@ from sasbp.core import (
     Variable,
 )
 from sasbp.fileformat import HEADER, INTEGER, RESERVED_PREFIX, FormatError
+from sasbp.gadgets import MulticoloredGraph
 from sasbp.oracle import DEFAULT_MAX_STATES, ResourceLimitError, decide_bfs
 from sasbp.steiner import INFINITY, SteinerInstance, SteinerSolution
 
@@ -455,15 +457,32 @@ def dreyfus_wagner_reference(
     return SteinerSolution(tuple(kept), weight, tuple(depth[arc] for arc in kept))
 
 
-# The layering that sasbp.steiner.extract_arborescence replaced: it prunes,
-# then resolves tail depths in fixpoint passes over the kept arcs and sorts
-# each layer again.  Kept as a reference for its layers, on top of the
-# helpers' own copy of the tree pruning.
+# The clique search that sasbp.gadgets.gen_clique_gadget replaced: it scans
+# every pick of one vertex per class in product order and tests all of its
+# pairs, so it re-tests a failing prefix for every completion.  Kept as a
+# reference for the clique that the gadget's witness uses.
+
+
+def reference_clique(graph: MulticoloredGraph):
+    """The first pick in product order whose pairs are all edges, or None."""
+    edges = set(graph.edges)
+    for pick in itertools.product(*graph.classes):
+        if all(pair in edges for pair in itertools.combinations(pick, 2)):
+            return pick
+    return None
+
+
+# A layering of a tree's arcs by tail depth, independent of the walk that
+# sets SteinerSolution.depths: it prunes, then resolves tail depths in
+# fixpoint passes over the kept arcs and sorts each layer again.  Kept as a
+# reference for the depths and their order, on top of the helpers' own copy
+# of the tree pruning.
 
 
 def reference_layers(arcs, inst: SteinerInstance):
-    """Fixpoint reference for extract_arborescence: the layers of the tree
-    that an arc set of the instance prunes to."""
+    """Fixpoint reference for SteinerSolution.depths: the layers of the
+    tree that an arc set of the instance prunes to, layer i holding the arcs
+    whose tail sits at depth i in declaration order."""
     for arc in arcs:
         if arc not in inst.weights:
             raise ValueError(f"arc {arc!r} does not belong to this instance")

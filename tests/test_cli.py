@@ -349,7 +349,7 @@ class TestGenerate:
     def test_clique_complete(self, capsys, tmp_path):
         base = tmp_path / "cq"
         code, out, _ = run(
-            capsys, "generate", "clique", "--complete", "--out", str(base)
+            capsys, "generate", "clique", "--edge-prob", "1", "--out", str(base)
         )
         assert code == 0 and "answer: yes" in out
         truth = (tmp_path / "cq.truth").read_text()
@@ -436,7 +436,7 @@ class TestGenerate:
             (("generate", "clique", "--edge-prob", "2"), "edge probability must lie in [0, 1]"),
             (("generate", "clique", "--edge-prob", "-1"), "edge probability must lie in [0, 1]"),
             (("generate", "clique", "--per-class", "-2"), "at least one vertex per color class"),
-            (("generate", "clique", "--per-class", "0", "--complete"), "at least one vertex"),
+            (("generate", "clique", "--per-class", "0", "--edge-prob", "1"), "at least one vertex"),
         ],
     )
     def test_usage_errors(self, capsys, tmp_path, argv, needle):
@@ -512,8 +512,8 @@ class TestGoldenOutput:
             ("ortree", "--bits", "00"),
             ("ortree", "--bits", "0010"),
             ("ortree", "--bits", "11"),
-            ("clique", "--complete"),
-            ("clique", "--empty"),
+            ("clique", "--edge-prob", "1"),
+            ("clique", "--edge-prob", "0"),
             ("compose-pub",),
             ("compose-02",),
         ):
@@ -523,12 +523,12 @@ class TestGoldenOutput:
             (tmp_path / f"{name}.sasbp").write_text(text)
 
         answers = {
-            "clique-complete": (0, '{"decision": "yes", "dp_table_entries": null, '
-                                '"explored_states": 91, "length": 6, '
-                                '"method": "oracle"}\n'),
-            "clique-empty": (1, '{"decision": "no", "dp_table_entries": null, '
-                             '"explored_states": null, "length": null, '
-                             '"method": "fpt02"}\n'),
+            "clique-edge-prob-0": (1, '{"decision": "no", "dp_table_entries": null, '
+                                   '"explored_states": null, "length": null, '
+                                   '"method": "fpt02"}\n'),
+            "clique-edge-prob-1": (0, '{"decision": "yes", "dp_table_entries": null, '
+                                   '"explored_states": 91, "length": 6, '
+                                   '"method": "oracle"}\n'),
             "compose-02": (0, '{"decision": "yes", "dp_table_entries": 32, '
                            '"explored_states": null, "length": 20, '
                            '"method": "fpt02"}\n'),
@@ -555,7 +555,7 @@ class TestGoldenOutput:
                       '"method": "fpt02"}\n'),
         }
         gave_up = {
-            "clique-complete": "depth 1: 2 states expanded, 13 stored",
+            "clique-edge-prob-1": "depth 1: 2 states expanded, 13 stored",
             "compose-pub": "depth 1: 2 states expanded, 6 stored",
             "gated": "depth 2: 3 states expanded, 3 stored",
             "ortree-bits-00": "depth 1: 2 states expanded, 3 stored",
@@ -593,6 +593,19 @@ class TestErrorsAndEntry:
         path.write_text("SASBP 1\nvar __root 0 1\ninit __root=0\ngoal __root=1\nk 1\n")
         err = "error: variable name '__root' is reserved for the root and pair nodes\n"
         assert run(capsys, "solve", str(path), "--allow-reserved") == (2, "", err)
+
+    def test_failed_postcondition_is_an_internal_error(self, capsys, monkeypatch, trade_file):
+        # an empty extracted plan misses the goal, so solve_02's re-validation
+        # raises: a fault of the solver, neither a NO nor a usage error
+        monkeypatch.setattr(sasbp.planner02, "extract_plan", lambda artifacts, solution: ())
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "solve", trade_file, *extra)
+            assert (code, out) == (4, "")
+            assert err.startswith("Traceback (most recent call last):\n")
+            assert err.endswith(
+                "RuntimeError: extracted plan failed validation: "
+                "final state is not a goal state: a=0, goal wants a=1\n"
+            )
 
     def test_bad_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -24,7 +24,7 @@ from sasbp.core import validate_plan
 from sasbp.oracle import decide_bfs
 from sasbp.planner02 import reduce_to_steiner, solve_02
 from sasbp.restrictions import detect_profile, split_effects
-from helpers import make_query
+from helpers import make_query, reference_clique
 
 
 def tiny_yes_query(k=1):
@@ -133,6 +133,21 @@ class TestCliqueGadget:
         profile = detect_profile(inst)
         assert profile.max_preconditions == 0
         assert profile.max_effects == 3
+
+    def test_clique_is_the_first_pick_in_product_order(self):
+        # the backtracking search against the product scan, at every density
+        rng = random.Random(2026)
+        yes = 0
+        for _ in range(400):
+            g = MulticoloredGraph.random(
+                rng.randint(2, 5), rng.randint(1, 4), rng.random(), rng=rng
+            )
+            clique = reference_clique(g)
+            out = gen_clique_gadget(g)
+            assert out.notes.get("clique") == clique, g
+            assert (out.ground_truth == YES) == (clique is not None), g
+            yes += clique is not None
+        assert 80 < yes < 320, yes
 
     def test_truth_matches_search_oracle_on_random_graphs(self):
         rng = random.Random(5150)

@@ -1,13 +1,16 @@
 """Property tests: generated instances checked against the brute-force
 references.  Examples are derandomized, so every run sees the same ones.
-derandomize=True seeds each property from the source of its inner check
-function, so an edit to a check body redraws its examples and can move the
-coverage floors that each test asserts on what check saw."""
+Each derandomized property also pins its seed.  Without @seed,
+derandomize=True seeds a property from the source of its inner check
+function, so an edit to a check body would redraw its examples and could
+move the coverage floors that each test asserts on what check saw."""
 
+import ast
 import itertools
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,6 @@ from sasbp.restrictions import RestrictionProfile, detect_profile  # noqa: E402
 from sasbp.steiner import (  # noqa: E402
     SteinerInstance,
     brute_dst,
-    extract_arborescence,
     solve_dst,
 )
 from helpers import (  # noqa: E402
@@ -56,6 +58,7 @@ def small_steiner(draw) -> SteinerInstance:
 def test_steiner_dp_agrees_with_brute_force():
     forced = []
 
+    @seed(0x788dcac7bd729403cf051b878e17c2a72ee8ce948ee9b59d4ebac503be51c037cdf034f27e0fabece9945557ea4b3af8)
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(small_steiner())
     def check(inst):
@@ -105,6 +108,7 @@ def steiner_with_leaves(draw) -> SteinerInstance:
 def test_presolve_forcing_agrees_with_brute_force():
     forced = []
 
+    @seed(0xef8773624ea9b938269b85ab3726730b8d3bdc86d531f2b8b957505c3e19da903bb63f41954377fc7a40f5ae35198716)
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(steiner_with_leaves())
     def check(inst):
@@ -163,6 +167,7 @@ def steiner_with_twins(draw) -> SteinerInstance:
 def test_twin_merge_agrees_with_brute_force():
     merged = []
 
+    @seed(0xe54a08f97f17757273657f6c8bd701acd50276814fd158e2d696d6068dcd90df4069e1c928895b25f81452aa0e2fe69b)
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(steiner_with_twins())
     def check(inst):
@@ -231,6 +236,7 @@ def layering_case(draw):
 def test_layers_agree_with_reference_layering():
     seen = []
 
+    @seed(0x432f3a4bee280670799c724def63160ad0b1111ec89c59d28dc2a14a866787e5e2ea4706537eb7bd9a9ccbf251919296)
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(layering_case())
     def check(case):
@@ -239,9 +245,12 @@ def test_layers_agree_with_reference_layering():
             return
         # solve_dst prunes its own tree; a superset is pruned by _tree
         tree = steiner._tree(inst, arcs) if kind == "extra" else solution
-        layers = extract_arborescence(tree)
-        assert layers == reference_layers(arcs, inst)
-        kept = {arc for layer in layers for arc in layer}
+        layers = reference_layers(arcs, inst)
+        depth = {arc: d for d, layer in enumerate(layers) for arc in layer}
+        assert dict(zip(tree.arcs, tree.depths)) == depth
+        # at each depth the arcs come in the reference's layer order, as extract_plan emits them
+        assert [[arc for arc in tree.arcs if depth[arc] == d] for d in range(len(layers))] == layers
+        kept = set(tree.arcs)
         seen.append((
             kind,
             len(layers) >= 3,
@@ -294,6 +303,7 @@ def test_move_lists_and_goal_counts_match_the_pairwise_references():
     # variables off their goal value, at every field width
     seen = []
 
+    @seed(0xf7df59aa84f720c50dd7e2f8b25ff2239ab1a07167579d49640fb6ebe4138a3ff9d53a0c3b5fafec423ef272a74838a)
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.booleans().flatmap(lambda guarded: small_task(guarded, least_effects=0)))
     def check(query):
@@ -346,6 +356,7 @@ def test_successor_goal_bits_are_read_off_the_state_and_the_move():
     # under every action, at every field width
     seen = []
 
+    @seed(0xfa50d4b97060d8f7f3a1da65631bdf4c466215e3a92f6e8746773aeff59162a2c1a3361fe310edac9e4b0a3c4d126d1d)
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.booleans().flatmap(lambda guarded: small_task(guarded, least_effects=0)))
     def check(query):
@@ -382,6 +393,7 @@ def test_successor_goal_bits_are_read_off_the_state_and_the_move():
 def test_packed_oracle_agrees_with_tuple_reference():
     sizes, seen = set(), []
 
+    @seed(0x36501f4a8feba77f55408d950e18d8bc2448ab3facce2ebb16cf5cf845b42ff9130f31004327798b1ab3c05264b05680)
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(small_task(), st.integers(1, 3))
     def check(query, short):
@@ -438,6 +450,7 @@ def test_precondition_free_oracle_agrees_with_tuple_reference_at_every_budget():
     # where the goal-count bound cannot drop a successor and levels where it does
     seen = []
 
+    @seed(0xd4e86ac2b6de5d0ea5506c474383f280ef96f958071d6a8c5bfd65205b0eac7b10d3f08fd8e5dd79b3d2cc8df37c2e39)
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(st.one_of(small_task(), task_0e(), task_with_planted_pairs()))
     def check(query):
@@ -587,6 +600,7 @@ def task_02(draw):
 def test_solve_agrees_with_the_oracle_on_02_tasks():
     seen = []
 
+    @seed(0x7eaa9f0d48f4399f14e5205c5cdde1218bbe873d3e8133f1bc48c766848fdc18e2f0e2e4184c9d0f567116b1f057f3ad)
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(task_02())
     def check(query):
@@ -649,6 +663,7 @@ def task_02_or_covered(draw):
 def test_answers_given_before_the_reduction_agree_with_the_oracle():
     seen = []
 
+    @seed(0xeba18afc2f8b932d164385bb1173ae3d5e2275d563b9f4e892546fd7ce849f58287fd8b4ef09368d7c0620851b69967d)
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(task_02_or_covered())
     def check(query):
@@ -752,6 +767,7 @@ def test_skip_rules_keep_the_tuple_reference_result():
     # message under the goal-count bound, and on the answer without it
     seen = []
 
+    @seed(0x6545ba2847c7f1f5b485f80a0e996d26a0ffeac620f155ce71dd25cdc52288451a333958c9740a59553fbad0be132307)
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(task_with_planted_pairs(), st.integers(1, 3))
     def check(query, short):
@@ -835,6 +851,7 @@ def _parsed(parse, text, allow_reserved):
 def test_parser_agrees_with_reference_parser():
     parsed = []
 
+    @seed(0x9ccfcb52ae0012cdc321ca14e358e30778f0350e6000dd4f146a662804ecf9995ba647dbc3d2b0e11bf2fdf6d5b9e5a5)
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(instance_text())
     def check(case):
@@ -902,6 +919,7 @@ def task_and_plan(draw):
 def test_plan_validation_agrees_with_reference_validator():
     reasons = []
 
+    @seed(0xc31e03db423ad8c5351784cf15e91457798e23e5b74021248ae9fd5a8202210735b2ab5ab0fc2839f7a0c4086f05459f)
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(task_and_plan())
     def check(task):
@@ -945,6 +963,7 @@ def profile_task(draw):
 def test_detect_profile_agrees_with_the_flag_definitions():
     seen = []
 
+    @seed(0xa68dc90a34799a6c553085d0f94d0d6dddb958f71b41cad10b04f5897756d5403635c4ebb7b59f7826154feaccc6f82b)
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(profile_task())
     def check(query):
@@ -980,3 +999,22 @@ def test_detect_profile_agrees_with_the_flag_definitions():
     # examples
     held = [sum(column) for column in zip(*seen)]
     assert min(held + [len(seen) - n for n in held[:4]]) > len(seen) // 10, held
+
+
+def test_every_derandomized_property_pins_its_seed():
+    unpinned, derandomized = [], 0
+    for node in ast.walk(ast.parse(Path(__file__).read_text())):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        calls = {
+            d.func.id: d
+            for d in node.decorator_list
+            if isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+        }
+        keywords = {kw.arg: kw.value for kw in getattr(calls.get("settings"), "keywords", ())}
+        if "derandomize" in keywords and ast.literal_eval(keywords["derandomize"]):
+            derandomized += 1
+            if "seed" not in calls:
+                unpinned.append(node.lineno)
+    assert derandomized >= 15
+    assert unpinned == []

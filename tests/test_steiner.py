@@ -10,7 +10,6 @@ from sasbp.planner02 import PAIR, reduce_to_steiner
 from sasbp.steiner import (
     SteinerInstance,
     brute_dst,
-    extract_arborescence,
     solve_dst,
 )
 from helpers import dreyfus_wagner_reference, random_02_query, reaches_all
@@ -408,11 +407,7 @@ def test_every_return_after_the_presolve_reports_the_same_stats(inst, table):
 def test_extract_layers_by_depth():
     solution = solve_dst(diamond())
     assert solution.depths == (0, 1, 1)
-    layers = extract_arborescence(solution)
-    assert layers == [
-        [("s", "b")],
-        [("b", "t1"), ("b", "t2")],
-    ]
+    assert solution.arcs == (("s", "b"), ("b", "t1"), ("b", "t2"))
 
 
 def random_steiner(rng: random.Random, weight_choices=(1,)) -> SteinerInstance:
