@@ -60,7 +60,7 @@ from .restrictions import (
     lookup_pubs,
     split_effects,
 )
-from .steiner import SteinerInstance, SteinerSolution, brute_dst, solve_dst
+from .steiner import SteinerInstance, SteinerSolution, solve_dst
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ __all__ = [
     "ValidationReport",
     "Variable",
     "broken_variables",
-    "brute_dst",
     "chain_bound",
     "compose_or_02",
     "compose_or_pub",

@@ -209,6 +209,10 @@ def cmd_generate(args) -> int:
     if output.witness is not None:
         plan_path.write_text(write_plan(output.witness))
         print(f"wrote {plan_path}")
+    elif plan_path.exists():
+        # an earlier run's witness would not fit this instance
+        plan_path.unlink()
+        print(f"removed {plan_path}")
     print(f"answer: {output.ground_truth}")
     return EXIT_YES
 
@@ -261,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("preprocess", help="rewrite an instance with the paper's chain transform")
-    add_instance_arg(p)
+    p.add_argument("instance", help="instance file (.sasbp)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_preprocess)
+    # the transform refuses '__' names itself, naming the symbol
+    p.set_defaults(func=cmd_preprocess, allow_reserved=True)
 
     p = sub.add_parser("to-steiner", help="emit the Steiner reduction of an instance")
     add_instance_arg(p)
@@ -281,22 +286,28 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p.add_subparsers(dest="kind", required=True)
 
     pg = gen_sub.add_parser("clique", help="multicolored clique gadget")
-    pg.add_argument("--classes", type=int, default=3)
-    pg.add_argument("--per-class", type=int, default=2)
-    pg.add_argument("--edge-prob", type=float, default=0.5)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--classes", type=int, default=3, help="color classes (default 3)")
+    pg.add_argument("--per-class", type=int, default=2, help="vertices per class (default 2)")
+    pg.add_argument(
+        "--edge-prob",
+        type=float,
+        default=0.5,
+        help="chance of each edge between two classes (default 0.5);"
+        " 1 is the complete graph (YES), 0 the empty one (NO)",
+    )
+    pg.add_argument("--seed", type=int, default=0, help="seed of the edge draw (default 0)")
 
     pg = gen_sub.add_parser("ortree", help="balanced OR tree over input bits")
     pg.add_argument("--bits", default="0010", help="input bits, e.g. 0010")
 
     pg = gen_sub.add_parser("compose-pub", help="OR composition of PUB fixtures")
-    pg.add_argument("--t", type=int, default=3)
-    pg.add_argument("--k", type=int, default=2)
+    pg.add_argument("--t", type=int, default=3, help="number of inputs (default 3)")
+    pg.add_argument("--k", type=int, default=2, help="plan length bound of each input (default 2)")
     pg.add_argument("--pattern", help="y/n per input, e.g. ynn")
 
     pg = gen_sub.add_parser("compose-02", help="OR composition of two-effect fixtures")
-    pg.add_argument("--t", type=int, default=2)
-    pg.add_argument("--k", type=int, default=1)
+    pg.add_argument("--t", type=int, default=2, help="number of inputs (default 2)")
+    pg.add_argument("--k", type=int, default=1, help="plan length bound of each input (default 1)")
     pg.add_argument("--pattern", help="y/n per input, e.g. yn")
 
     for pg in gen_sub.choices.values():

@@ -21,8 +21,6 @@ The table is exponential in the terminals, so it runs under the work budget
 max_states: one unit per table row, 2^t - 1 for t terminals, counted before
 any row is built, and one per candidate split, counted per terminal set
 before its splits are tried.  Passing the budget raises ResourceLimitError.
-brute_dst is an independent brute-force reference over small arc subsets
-used to cross-check the dynamic program.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .core import DEFAULT_MAX_STATES, ResourceLimitError
 
@@ -323,49 +320,3 @@ def _out_of_budget(max_states: int, work: int, terminals: int) -> ResourceLimitE
         f"presolve and merge, and their subset table takes at least {work} rows and candidate splits"
     )
 
-
-def brute_dst(inst: SteinerInstance, max_subsets: int = 2_000_000) -> SteinerSolution | None:
-    """Reference solver: scan every arc subset, keep the lightest that works.
-
-    Only subsets up to n - 1 arcs matter because minimum solutions are
-    arborescences.  Intended for small instances; raises RuntimeError when
-    the subset budget runs out.
-    """
-    terminals = inst.terminals
-    if not terminals:
-        return _tree(inst, ()) if inst.bound >= 0 else None
-    all_arcs = list(inst.weights.items())
-    largest = min(len(all_arcs), len(inst.nodes) - 1)
-    best_key: tuple | None = None
-    best_subset: tuple | None = None
-    checked = 0
-    for size in range(largest + 1):
-        for combo in combinations(range(len(all_arcs)), size):
-            checked += 1
-            if checked > max_subsets:
-                raise RuntimeError(f"subset budget of {max_subsets} exhausted")
-            weight = sum(all_arcs[i][1] for i in combo)
-            key = (weight, combo)
-            if best_key is not None and key >= best_key:
-                continue
-            chosen = [all_arcs[i][0] for i in combo]
-            if _reaches_all(inst, chosen):
-                best_key = key
-                best_subset = tuple(chosen)
-    if best_key is None or best_key[0] > inst.bound:
-        return None
-    return _tree(inst, best_subset)
-
-
-def _reaches_all(inst: SteinerInstance, arcs) -> bool:
-    children: dict[str, list[str]] = {}
-    for u, v in arcs:
-        children.setdefault(u, []).append(v)
-    seen = {inst.root}
-    stack = [inst.root]
-    while stack:
-        for child in children.get(stack.pop(), ()):
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return all(t in seen for t in inst.terminals)

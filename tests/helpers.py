@@ -447,14 +447,55 @@ def dreyfus_wagner_reference(
             build(mask ^ sub, u)
 
     build(full, root)
-    kept = _prune(inst, arcs)
-    weight = sum(inst.weights[a] for a in kept)
-    if weight != best:
+    solution = _reference_solution(inst, arcs)
+    if solution.total_weight != best:
         raise RuntimeError(
-            f"reconstructed tree weighs {weight}, the table optimum is {best}"
+            f"reconstructed tree weighs {solution.total_weight}, the table optimum is {best}"
         )
+    return solution
+
+
+def brute_dst(inst: SteinerInstance, max_subsets: int = 2_000_000) -> SteinerSolution | None:
+    """Brute-force reference for solve_dst: scan every arc subset, keep the
+    lightest that reaches all terminals.
+
+    Only subsets up to n - 1 arcs matter because minimum solutions are
+    arborescences.  Intended for small instances; raises RuntimeError when
+    the subset budget runs out.
+    """
+    if not inst.terminals:
+        return SteinerSolution((), 0, ()) if inst.bound >= 0 else None
+    all_arcs = list(inst.weights.items())
+    largest = min(len(all_arcs), len(inst.nodes) - 1)
+    best_key: tuple | None = None
+    best_subset: tuple = ()
+    checked = 0
+    for size in range(largest + 1):
+        for combo in itertools.combinations(range(len(all_arcs)), size):
+            checked += 1
+            if checked > max_subsets:
+                raise RuntimeError(f"subset budget of {max_subsets} exhausted")
+            weight = sum(all_arcs[i][1] for i in combo)
+            key = (weight, combo)
+            if best_key is not None and key >= best_key:
+                continue
+            chosen = [all_arcs[i][0] for i in combo]
+            if reaches_all(inst.root, inst.terminals, chosen):
+                best_key = key
+                best_subset = tuple(chosen)
+    if best_key is None or best_key[0] > inst.bound:
+        return None
+    return _reference_solution(inst, best_subset)
+
+
+def _reference_solution(inst: SteinerInstance, arcs) -> SteinerSolution:
+    """The tree that an arc set prunes to, its weight, and each kept arc's
+    tail depth as reference_layers finds it."""
+    kept = _prune(inst, arcs)
     depth = {arc: d for d, layer in enumerate(reference_layers(kept, inst)) for arc in layer}
-    return SteinerSolution(tuple(kept), weight, tuple(depth[arc] for arc in kept))
+    return SteinerSolution(
+        tuple(kept), sum(inst.weights[a] for a in kept), tuple(depth[arc] for arc in kept)
+    )
 
 
 # The clique search that sasbp.gadgets.gen_clique_gadget replaced: it scans

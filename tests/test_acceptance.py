@@ -48,8 +48,8 @@ from sasbp.restrictions import (
     lookup_pubs,
     split_effects,
 )
-from sasbp.steiner import SteinerInstance, brute_dst, solve_dst
-from helpers import make_query, random_02_query
+from sasbp.steiner import SteinerInstance, solve_dst
+from helpers import brute_dst, make_query, random_02_query
 
 
 def criterion(num, name):

@@ -274,6 +274,20 @@ class TestPreprocess:
             f"written to {out_path}",
         ]
 
+    def test_reserved_name_is_refused_by_the_transform(self, capsys, tmp_path):
+        # the transform itself names the '__' symbol, so no flag can admit it
+        src = tmp_path / "reserved.sasbp"
+        text = CHAINED.replace("var c 0 1\n", "var c 0 1\nvar __x 0 1\n")
+        src.write_text(text.replace("c=0\n", "c=0 __x=0\n"))
+        out_path = tmp_path / "reserved.l1.sasbp"
+        err = "error: variable '__x' uses the reserved __ prefix\n"
+        assert run(capsys, "preprocess", str(src), "--out", str(out_path)) == (2, "", err)
+        assert not out_path.exists()
+        with pytest.raises(SystemExit) as info:
+            main(["preprocess", str(src), "--out", str(out_path), "--allow-reserved"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --allow-reserved" in capsys.readouterr().err
+
 
 class TestSteinerCommands:
     def test_reduction_then_solve(self, capsys, tmp_path, trade_file):
@@ -358,6 +372,33 @@ class TestGenerate:
             capsys, "validate", str(tmp_path / "cq.sasbp"), str(tmp_path / "cq.plan")
         )
         assert code == 0
+
+    def test_no_witness_removes_a_stale_plan(self, capsys, tmp_path):
+        base = tmp_path / "cq"
+        plan = tmp_path / "cq.plan"
+        run(capsys, "generate", "clique", "--edge-prob", "1", "--out", str(base))
+        assert plan.exists()
+        written = [f"wrote {tmp_path / 'cq.sasbp'}", f"wrote {tmp_path / 'cq.truth'}"]
+        code, out, _ = run(capsys, "generate", "clique", "--edge-prob", "0", "--out", str(base))
+        assert code == 0
+        assert out.splitlines() == [*written, f"removed {plan}", "answer: no"]
+        assert not plan.exists()
+        code, out, _ = run(capsys, "generate", "clique", "--edge-prob", "0", "--out", str(base))
+        assert code == 0
+        assert out.splitlines() == [*written, "answer: no"]
+
+    def test_clique_help_gives_defaults_and_edge_prob_ends(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "clique", "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--classes CLASSES color classes (default 3)" in text
+        assert "--per-class PER_CLASS vertices per class (default 2)" in text
+        assert (
+            "--edge-prob EDGE_PROB chance of each edge between two classes (default 0.5);"
+            " 1 is the complete graph (YES), 0 the empty one (NO)"
+        ) in text
+        assert "--seed SEED seed of the edge draw (default 0)" in text
 
     def test_clique_random_is_seeded(self, capsys, tmp_path):
         for name in ("r1", "r2"):

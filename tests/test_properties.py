@@ -25,10 +25,10 @@ from sasbp.planner02 import reduce_to_steiner, solve, solve_02  # noqa: E402
 from sasbp.restrictions import RestrictionProfile, detect_profile  # noqa: E402
 from sasbp.steiner import (  # noqa: E402
     SteinerInstance,
-    brute_dst,
     solve_dst,
 )
 from helpers import (  # noqa: E402
+    brute_dst,
     goal_bound,
     make_query,
     reaches_all,

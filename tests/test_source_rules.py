@@ -1,6 +1,7 @@
 """Rules on the package source itself, checked with `ast`."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -73,6 +74,21 @@ def test_every_public_definition_is_exported_or_used():
     unread = [name for name in defined if name not in sasbp.__all__ and name not in named]
     assert unread == []
 
+
+
+def test_every_exported_function_is_called_outside_the_tests():
+    # an exported function that only the suite calls is a test reference
+    # shipped as API; such references live in tests/helpers.py
+    root = SRC.parent.parent
+    files = [path for part in ("src", "bench", "demos") for path in sorted((root / part).rglob("*.py"))]
+    called = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                called.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+    functions = [name for name in sasbp.__all__ if inspect.isfunction(getattr(sasbp, name))]
+    assert len(functions) > 25
+    assert [name for name in functions if name not in called] == []
 
 def test_every_public_constant_is_exported_or_read():
     # a public UPPERCASE module-level constant that is neither exported nor

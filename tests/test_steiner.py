@@ -9,10 +9,9 @@ from sasbp.core import ResourceLimitError
 from sasbp.planner02 import PAIR, reduce_to_steiner
 from sasbp.steiner import (
     SteinerInstance,
-    brute_dst,
     solve_dst,
 )
-from helpers import dreyfus_wagner_reference, random_02_query, reaches_all
+from helpers import brute_dst, dreyfus_wagner_reference, random_02_query, reaches_all
 
 
 def diamond():
